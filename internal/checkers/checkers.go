@@ -108,14 +108,60 @@ func (m Move) String() string {
 // occupied returns all occupied squares.
 func (b Board) occupied() uint32 { return b.ownMen | b.ownKings | b.oppMen | b.oppKings }
 
+// Direction tables shared by every pieceDirs call.
+var (
+	kingDirs = [][2]int{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}}
+	upDirs   = kingDirs[:2]
+	downDirs = kingDirs[2:]
+)
+
 // pieceDirs returns the (dr, dc) steps available to the piece on square s.
+// The result is shared and must not be modified.
 func (b Board) pieceDirs(s int) [][2]int {
 	bit := uint32(1) << uint(s)
 	if b.ownKings&bit != 0 {
-		return [][2]int{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}}
+		return kingDirs
 	}
-	f := b.forwardDir()
-	return [][2]int{{f, 1}, {f, -1}}
+	if b.forwardDir() == 1 {
+		return upDirs
+	}
+	return downDirs
+}
+
+// Bitboard diagonal steps. Even rows (0, 2, 4, 6) hold columns 1, 3, 5, 7
+// and odd rows columns 0, 2, 4, 6, so a step's index offset depends on the
+// row's parity: 4 from one parity, 3 or 5 from the other. Only the 3-or-5
+// step can leave the board sideways, so its edge column is masked off
+// first. Steps past the top or bottom row shift out of the word.
+const (
+	evenRows  uint32 = 0x0F0F0F0F
+	oddRows   uint32 = 0xF0F0F0F0
+	leftEdge  uint32 = 0x11111111 // index 0 of each row (column 0 on odd rows)
+	rightEdge uint32 = 0x88888888 // index 3 of each row (column 7 on even rows)
+)
+
+func stepUpLeft(x uint32) uint32    { return (x&evenRows)<<4 | (x&oddRows&^leftEdge)<<3 }
+func stepUpRight(x uint32) uint32   { return (x&evenRows&^rightEdge)<<5 | (x&oddRows)<<4 }
+func stepDownLeft(x uint32) uint32  { return (x&evenRows)>>4 | (x&oddRows&^leftEdge)>>5 }
+func stepDownRight(x uint32) uint32 { return (x&evenRows&^rightEdge)>>3 | (x&oddRows)>>4 }
+
+// hasMove reports whether the side to move has a legal move, without
+// generating any: some piece can step to an empty neighbor, or jump an
+// adjacent opponent onto an empty square (every capture sequence starts
+// with such a jump). Men move and capture forward only, kings both ways.
+func (b Board) hasMove() bool {
+	empty := ^b.occupied()
+	opp := b.oppMen | b.oppKings
+	up, down := b.ownKings, b.ownKings
+	if b.forwardDir() == 1 {
+		up |= b.ownMen
+	} else {
+		down |= b.ownMen
+	}
+	steps := stepUpLeft(up) | stepUpRight(up) | stepDownLeft(down) | stepDownRight(down)
+	jumps := stepUpLeft(stepUpLeft(up)&opp) | stepUpRight(stepUpRight(up)&opp) |
+		stepDownLeft(stepDownLeft(down)&opp) | stepDownRight(stepDownRight(down)&opp)
+	return (steps|jumps)&empty != 0
 }
 
 // jumpsFrom appends all complete jump sequences starting at square s with
@@ -239,13 +285,13 @@ func (b Board) Children() []game.Position {
 }
 
 // Terminal reports whether the side to move has no legal move (loss).
-func (b Board) Terminal() bool { return len(b.Moves()) == 0 }
+func (b Board) Terminal() bool { return !b.hasMove() }
 
 // Value implements game.Position: a lost position scores -10000; otherwise
 // material (men 100, kings 160) plus small positional terms (advancement,
 // back-rank guard, center control).
 func (b Board) Value() game.Value {
-	if len(b.Moves()) == 0 {
+	if !b.hasMove() {
 		return -10000
 	}
 	score := 100*(bits.OnesCount32(b.ownMen)-bits.OnesCount32(b.oppMen)) +

@@ -200,6 +200,27 @@ func TestNoMovesIsLoss(t *testing.T) {
 	}
 }
 
+var (
+	sinkValue game.Value
+	sinkBool  bool
+)
+
+// TestValueAndTerminalAllocFree pins the leaf path: Value and Terminal only
+// ask whether the side to move has a legal move, which needs no move list.
+func TestValueAndTerminalAllocFree(t *testing.T) {
+	b := Start()
+	for ply := 0; ply < 12; ply++ {
+		moves := b.Moves()
+		b = b.Apply(moves[ply%len(moves)])
+	}
+	if a := testing.AllocsPerRun(100, func() { sinkValue = b.Value() }); a != 0 {
+		t.Errorf("Value made %.1f allocations, want 0\n%s", a, b)
+	}
+	if a := testing.AllocsPerRun(100, func() { sinkBool = b.Terminal() }); a != 0 {
+		t.Errorf("Terminal made %.1f allocations, want 0\n%s", a, b)
+	}
+}
+
 func TestEvaluatorAntisymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := Start()

@@ -1,6 +1,9 @@
 package game
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Orderer decides how the children of a node are ordered before search.
 // Ordering quality is the single most important driver of alpha-beta
@@ -39,10 +42,10 @@ func (NaturalOrder) Cost(n, ply int) int { return 0 }
 // effect (serial ER beating alpha-beta on O1 despite examining more nodes)
 // arises.
 type StaticOrder struct {
-	// MaxPly is the deepest ply (inclusive) at which sorting is applied.
-	// Ply counts from 0 at the root, so the paper's "not below ply five"
-	// corresponds to MaxPly = 4 with 0-based plies; we use the paper's
-	// 1-based convention and treat MaxPly as "sort while ply < MaxPly".
+	// MaxPly is an exclusive bound: Order sorts the children of a node at
+	// ply p only while p < MaxPly. Ply counts from 0 at the root, so
+	// MaxPly = 5 sorts the nodes at plies 1 to 5, the paper's "not below
+	// ply five".
 	MaxPly int
 }
 
@@ -59,7 +62,7 @@ func (s StaticOrder) Order(children []Position, ply int) []Position {
 	for i, c := range children {
 		keyed[i] = kv{p: c, v: c.Value()}
 	}
-	sort.SliceStable(keyed, func(i, j int) bool { return keyed[i].v < keyed[j].v })
+	slices.SortStableFunc(keyed, func(a, b kv) int { return cmp.Compare(a.v, b.v) })
 	out := make([]Position, len(children))
 	for i, k := range keyed {
 		out[i] = k.p

@@ -1,7 +1,8 @@
 package serial
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ertree/internal/game"
 )
@@ -30,13 +31,15 @@ type erNode struct {
 	ply   int
 	value game.Value
 	done  bool
-	kids  []*erNode // nil until expanded
+	kids  []erNode // nil until expanded
 }
 
-// expandER generates the children of n once. Children of e-nodes are not
-// statically sorted (the tentative-value sort replaces it, §7); children
-// expanded inside Eval_first are sorted by the Searcher's orderer.
-func (s *Searcher) expandER(n *erNode, sortChildren bool) []*erNode {
+// expandER generates the children of n once, as one slab: callers address a
+// child as &kids[i], so its own expansion is stored in the slab too. Children
+// of e-nodes are not statically sorted (the tentative-value sort replaces it,
+// §7); children expanded inside Eval_first are sorted by the Searcher's
+// orderer.
+func (s *Searcher) expandER(n *erNode, sortChildren bool) []erNode {
 	if n.kids != nil || n.depth == 0 {
 		return n.kids
 	}
@@ -47,9 +50,9 @@ func (s *Searcher) expandER(n *erNode, sortChildren bool) []*erNode {
 		kids = o.Order(kids, s.BasePly+n.ply)
 	}
 	s.Stats.AddGenerated(int64(len(kids)))
-	n.kids = make([]*erNode, len(kids))
+	n.kids = make([]erNode, len(kids))
 	for i, k := range kids {
-		n.kids[i] = &erNode{pos: k, depth: n.depth - 1, ply: n.ply + 1}
+		n.kids[i] = erNode{pos: k, depth: n.depth - 1, ply: n.ply + 1}
 	}
 	return n.kids
 }
@@ -73,7 +76,8 @@ func (s *Searcher) er(p *erNode, alpha, beta game.Value) game.Value {
 		p.value = s.leaf(p.pos, p.ply)
 		return p.value
 	}
-	for _, k := range kids {
+	for i := range kids {
+		k := &kids[i]
 		t := -s.evalFirst(k, -beta, -p.value)
 		if k.done {
 			if t > p.value {
@@ -88,8 +92,9 @@ func (s *Searcher) er(p *erNode, alpha, beta game.Value) game.Value {
 	}
 	// sort(P): order the children ascending by tentative value, so the
 	// child most likely to be best for P is refuted (or evaluated) first.
-	sort.SliceStable(kids, func(i, j int) bool { return kids[i].value < kids[j].value })
-	for _, k := range kids {
+	slices.SortStableFunc(kids, func(a, b erNode) int { return cmp.Compare(a.value, b.value) })
+	for i := range kids {
+		k := &kids[i]
 		if k.done {
 			continue
 		}
@@ -118,7 +123,7 @@ func (s *Searcher) evalFirst(p *erNode, alpha, beta game.Value) game.Value {
 		p.value = s.leaf(p.pos, p.ply)
 		return p.value
 	}
-	t := -s.er(kids[0], -beta, -p.value)
+	t := -s.er(&kids[0], -beta, -p.value)
 	if t > p.value {
 		p.value = t
 	}
@@ -149,9 +154,10 @@ func (s *Searcher) Refute(pos game.Position, depth int, w game.Window, skip int,
 		skip = len(kids)
 	}
 	beta := w.Beta
-	for i, k := range kids[skip:] {
+	for i := skip; i < len(kids); i++ {
+		k := &kids[i]
 		var t game.Value
-		if skip == 0 && i == 0 {
+		if i == 0 {
 			// An r-node's first child is an e-node (Table 1): it is
 			// evaluated completely by the full ER protocol.
 			t = -s.er(k, -beta, -p.value)
@@ -195,7 +201,8 @@ func (s *Searcher) refuteRest(p *erNode, alpha, beta game.Value) game.Value {
 	if alpha > p.value {
 		p.value = alpha // see the package comment: retain the tentative value
 	}
-	for _, k := range p.kids[1:] {
+	for i := 1; i < len(p.kids); i++ {
+		k := &p.kids[i]
 		t := -s.evalFirst(k, -beta, -p.value)
 		if !k.done {
 			t = -s.refuteRest(k, -beta, -p.value)

@@ -6,6 +6,7 @@ import (
 
 	"ertree/internal/game"
 	"ertree/internal/gtree"
+	"ertree/internal/randtree"
 )
 
 // deepNegmax is an independent oracle (does not share code with Searcher).
@@ -211,6 +212,26 @@ func TestERRefutationAccounting(t *testing.T) {
 	}
 	if snap.RefuteFails > snap.Refutations {
 		t.Fatalf("failed refutations (%d) exceed attempts (%d)", snap.RefuteFails, snap.Refutations)
+	}
+}
+
+// TestERAllocsPerGeneratedNode pins serial ER's allocation rate: each
+// expansion costs the game's Children slice and boxed positions plus one
+// slab of child records, so on a degree-4 tree the search makes at most 1.5
+// allocations per generated node (1.25 of them are the game's own). The
+// bound has little slack, so the count is averaged over enough runs that a
+// one-off runtime allocation during the measurement rounds away.
+func TestERAllocsPerGeneratedNode(t *testing.T) {
+	root := (&randtree.Tree{Seed: 0xA110C, Degree: 4, Depth: 8, ValueRange: 10000}).Root()
+	var st game.Stats
+	(&Searcher{Stats: &st}).ER(root, 8, game.FullWindow())
+	generated := float64(st.Generated.Load())
+
+	var s Searcher
+	allocs := testing.AllocsPerRun(20, func() { s.ER(root, 8, game.FullWindow()) })
+	if perNode := allocs / generated; perNode > 1.5 {
+		t.Fatalf("serial ER made %.0f allocations for %.0f generated nodes (%.2f per node), want at most 1.5",
+			allocs, generated, perNode)
 	}
 }
 
