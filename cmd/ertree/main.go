@@ -127,24 +127,7 @@ func main() {
 		}
 		eng := engine.New(ecfg)
 		if mon != nil {
-			mon.SetSource(func(s *obs.Sample) {
-				g := eng.Gauges()
-				s.InFlight = g.InFlight
-				s.Waiting = g.Waiting
-				s.Sessions = g.Sessions
-				s.Iterations = g.Iterations
-				s.Probes = g.Probes
-				s.ShedFull = g.ShedFull
-				s.ShedTimeout = g.ShedTimeout
-				s.ShedCancelled = g.ShedCancelled
-				s.Steals = g.Steals
-				s.StealFails = g.StealFails
-				s.TTProbes = g.TTProbes
-				s.TTHits = g.TTHits
-				s.TTFill = g.TTFill
-				s.TTLen = g.TTLen
-				s.TTGenerations = g.TTGeneration
-			})
+			mon.SetSource(eng.AddSample)
 			mon.Start()
 		}
 		an, err := eng.Analyze(context.Background(), pos, *depth)

@@ -308,12 +308,14 @@ func RootScout(kids []game.Position, depth int, w game.Window, order []int, sear
 	return r, nil
 }
 
-// ttPolicy is the child-level transposition keying every backend shares, so
-// a table warmed by one backend (or an earlier deepening iteration) answers
-// the others. In exact mode the key is salted with the depth, keeping one
-// entry per (position, depth) so iterative deepening's per-depth results
-// coexist; deeper-hits mode keys by position alone and accepts deeper
-// entries (Plaat-style reuse).
+// ttPolicy is the transposition keying and traffic counting every backend
+// shares — the er backend applies it to each root child before a core
+// search, TTScout to every node it searches — so a table warmed by one
+// backend (or an earlier deepening iteration) answers the others. In exact
+// mode the key is salted with the depth, keeping one entry per (position,
+// depth) so iterative deepening's per-depth results coexist; deeper-hits
+// mode keys by position alone and accepts deeper entries (Plaat-style
+// reuse).
 type ttPolicy struct {
 	table  tt.SharedTable
 	deeper bool

@@ -50,10 +50,10 @@ func (b *serialBackend) Search(req Request) (Response, error) {
 // transposition table, exported so internal/lazysmp's deepening workers run
 // the exact same node semantics as the serial backend. Every node that
 // implements tt.Hashable is probed before expansion and its fail-soft result
-// stored after, under the same keying policy as ttPolicy (depth-salted keys
-// with equal-depth matching, or bare keys with depth-or-deeper matching in
-// DeeperHits mode); with exact-depth matching the cached bounds keep every
-// returned value the sound depth-limited negamax bound.
+// stored after, through ttPolicy (depth-salted keys with equal-depth
+// matching, or bare keys with depth-or-deeper matching in DeeperHits mode);
+// with exact-depth matching the cached bounds keep every returned value the
+// sound depth-limited negamax bound.
 // Not safe for concurrent use; each worker owns one.
 type TTScout struct {
 	Order      game.Orderer
@@ -100,46 +100,10 @@ func (s *TTScout) search(pos game.Position, depth, ply int, w game.Window) (game
 		s.Totals.LeafTasks++
 		return pos.Value(), nil
 	}
-	var key uint64
-	hashable := false
-	if !tt.IsNil(s.Table) {
-		if h, ok := pos.(tt.Hashable); ok {
-			hashable = true
-			key = h.Hash()
-			probe := s.Table.ProbeDeep
-			if !s.DeeperHits {
-				// Same keying as ttPolicy: salt with depth so per-depth
-				// entries coexist and a table warmed by one backend answers
-				// the others.
-				key ^= uint64(depth) * depthSalt
-				probe = s.Table.Probe
-			}
-			s.Totals.TTProbes++
-			if en, ok := probe(key, depth); ok {
-				s.Totals.TTHits++
-				switch en.Bound {
-				case tt.Exact:
-					s.Totals.TTCutoffs++
-					return en.Value, nil
-				case tt.Lower:
-					if en.Value >= w.Beta {
-						s.Totals.TTCutoffs++
-						return en.Value, nil
-					}
-					if en.Value > w.Alpha {
-						w.Alpha = en.Value
-					}
-				case tt.Upper:
-					if en.Value <= w.Alpha {
-						s.Totals.TTCutoffs++
-						return en.Value, nil
-					}
-					if en.Value < w.Beta {
-						w.Beta = en.Value
-					}
-				}
-			}
-		}
+	policy := ttPolicy{table: s.Table, deeper: s.DeeperHits}
+	cached, done, key, hashable := policy.probeChild(pos, depth, &w, s.Totals)
+	if done {
+		return cached, nil
 	}
 	kids := pos.Children()
 	if len(kids) == 0 {
@@ -187,19 +151,7 @@ func (s *TTScout) search(pos game.Position, depth, ply int, w game.Window) (game
 		// Classify against the (possibly table-narrowed) window actually
 		// searched; with equal-depth matching the narrowed bounds keep the
 		// classification sound.
-		store := s.Table.Store
-		if s.DeeperHits {
-			store = s.Table.StoreDeep
-		}
-		s.Totals.TTStores++
-		switch {
-		case m <= w.Alpha:
-			store(key, depth, m, tt.Upper)
-		case m >= w.Beta:
-			store(key, depth, m, tt.Lower)
-		default:
-			store(key, depth, m, tt.Exact)
-		}
+		policy.storeChild(key, depth, m, w, s.Totals)
 	}
 	return m, nil
 }

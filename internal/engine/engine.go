@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -104,12 +105,9 @@ type Config struct {
 	ProfileLabels bool
 	// TableBits sizes the shared transposition table at 2^TableBits slots.
 	// Zero disables the table. All sessions of this engine share it, both
-	// concurrently and across iterations.
+	// concurrently and across iterations. The striped implementation uses
+	// tt.DefaultShards stripes.
 	TableBits int
-	// TableShards is the stripe count of the shared table; zero picks
-	// tt.DefaultShards. Only the striped implementation stripes; the
-	// lock-free table ignores it.
-	TableShards int
 	// TableImpl selects the shared-table implementation: "lockfree" (atomic
 	// cache-line buckets with XOR key validation and aging replacement) or
 	// "striped" (the mutex-striped direct-mapped baseline). Empty consults
@@ -140,12 +138,12 @@ type Config struct {
 	// Telemetry, if non-nil, receives per-session metric samples (outcome
 	// counts, latency and depth histograms, core task/TT traffic) labeled
 	// with Name. Engines sharing a registry share one Telemetry. Nil
-	// disables recording; the engine's own Stats counters always run.
+	// disables recording; the engine's own Counters always run.
 	Telemetry *Telemetry
 	// Obs, if non-nil, is the self-monitor watching this engine: sessions
 	// register stall-watchdog heartbeats with it (start, per-iteration
-	// progress, end), and its sampler reads the engine's Gauges. Nil (the
-	// default) costs one pointer test per session and nothing else.
+	// progress, end); its sampler reads the engine through AddSample. Nil
+	// (the default) costs one pointer test per session and nothing else.
 	Obs *obs.Monitor
 }
 
@@ -175,42 +173,47 @@ type Engine struct {
 	backends map[string]backend.Backend
 	drivers  map[string]driver.Driver
 
-	// backendSessions and driverSessions count admitted sessions per backend
-	// and driver name (the Stats attribution of mixed traffic).
-	bmu             sync.Mutex
+	// waiting is the admission queue depth, a level rather than a count, so
+	// exposition-time gauges read it with one atomic load.
+	waiting atomic.Int64
+
+	// mu guards the engine's counters: counts, and the admitted sessions
+	// per backend and driver name (the Stats attribution of mixed traffic).
+	// Every write is once per admission, refusal, iteration or session end,
+	// never per node.
+	mu              sync.Mutex
+	counts          Counters
 	backendSessions map[string]int64
 	driverSessions  map[string]int64
+}
 
-	waiting     atomic.Int64
-	started     atomic.Int64
-	completed   atomic.Int64
-	deadlineCut atomic.Int64
-	rejected    atomic.Int64
-	failed      atomic.Int64
-	nodes       atomic.Int64
-	researches  atomic.Int64
-	probes      atomic.Int64
-	iterations  atomic.Int64
+// Counters are an engine's cumulative counts since New: session outcomes,
+// admission refusals by cause, root-driver work, and the work totals the
+// search backends report, folded in once per session. Stats and AddSample
+// read them; the engine's /metrics families record the same per-session
+// totals as they are folded in.
+type Counters struct {
+	Started     int64 // sessions admitted
+	Completed   int64 // sessions that reached their full requested depth
+	DeadlineCut int64 // sessions cut short by their deadline
+	Rejected    int64 // admissions refused (queue timeout or caller gave up)
+	Failed      int64 // sessions that errored
 
-	// Shed-by-cause breakdown of rejected: immediate refusals (no queue),
-	// queue-timeout expiries, and callers that cancelled while queued.
-	shedFull      atomic.Int64
-	shedTimeout   atomic.Int64
-	shedCancelled atomic.Int64
+	// Rejected broken down by cause: "full" (immediate, no queue configured),
+	// "timeout" (queue wait expired), "cancelled" (caller gave up queued).
+	ShedFull      int64
+	ShedTimeout   int64
+	ShedCancelled int64
 
-	// Core-search aggregates, folded in once per session (see coreTotals).
-	serialTasks atomic.Int64
-	leafTasks   atomic.Int64
-	specPops    atomic.Int64
-	dropped     atomic.Int64
-	cutoffDrops atomic.Int64
-	heapOps     atomic.Int64
-	steals      atomic.Int64
-	stealFails  atomic.Int64
-	ttProbes    atomic.Int64
-	ttHits      atomic.Int64
-	ttStores    atomic.Int64
-	ttCutoffs   atomic.Int64
+	Researches int64 // wide-window re-searches across all sessions
+	Probes     int64 // root-driver null-window probes across all sessions
+	Iterations int64 // completed deepening iterations across all sessions
+
+	// Totals is the search work of every session: nodes, core tasks, heap
+	// traffic, and every transposition probe, hit and store, each counted
+	// once by the code that issued it (the backends' searches, and the
+	// sessions' root-ordering probes).
+	backend.Totals
 }
 
 // name returns the engine's telemetry label.
@@ -219,23 +222,6 @@ func (e *Engine) name() string {
 		return e.cfg.Name
 	}
 	return "default"
-}
-
-// addCore folds a finished session's core-search counters into the engine's
-// aggregates.
-func (e *Engine) addCore(c *coreTotals) {
-	e.serialTasks.Add(c.serialTasks)
-	e.leafTasks.Add(c.leafTasks)
-	e.specPops.Add(c.specPops)
-	e.dropped.Add(c.dropped)
-	e.cutoffDrops.Add(c.cutoffDrops)
-	e.heapOps.Add(c.heapOps)
-	e.steals.Add(c.steals)
-	e.stealFails.Add(c.stealFails)
-	e.ttProbes.Add(c.ttProbes)
-	e.ttHits.Add(c.ttHits)
-	e.ttStores.Add(c.ttStores)
-	e.ttCutoffs.Add(c.ttCutoffs)
 }
 
 // New creates an engine. The zero Config is usable: one worker, one
@@ -280,7 +266,7 @@ func New(cfg Config) *Engine {
 		e.sem = make(chan struct{}, cfg.MaxConcurrent)
 	}
 	if cfg.TableBits > 0 {
-		table, err := tt.NewSharedTable(cfg.TableImpl, cfg.TableBits, cfg.TableShards)
+		table, err := tt.NewSharedTable(cfg.TableImpl, cfg.TableBits, 0)
 		if err != nil {
 			panic(fmt.Sprintf("engine: %v", err))
 		}
@@ -342,14 +328,6 @@ func (e *Engine) driverFor(name string) (driver.Driver, error) {
 	return d, nil
 }
 
-// countDriverSession attributes one admitted session to the root driver
-// resolving its iterations.
-func (e *Engine) countDriverSession(name string) {
-	e.bmu.Lock()
-	e.driverSessions[name]++
-	e.bmu.Unlock()
-}
-
 // backendFor resolves a per-session backend override ("" means the engine
 // default) to the prebuilt instance.
 func (e *Engine) backendFor(name string) (backend.Backend, error) {
@@ -364,12 +342,14 @@ func (e *Engine) backendFor(name string) (backend.Backend, error) {
 	return be, nil
 }
 
-// countBackendSession attributes one admitted session to the backend serving
-// it.
-func (e *Engine) countBackendSession(name string) {
-	e.bmu.Lock()
-	e.backendSessions[name]++
-	e.bmu.Unlock()
+// admit counts one admitted session and attributes it to the backend and
+// driver serving it.
+func (e *Engine) admit(backendName, driverName string) {
+	e.mu.Lock()
+	e.counts.Started++
+	e.backendSessions[backendName]++
+	e.driverSessions[driverName]++
+	e.mu.Unlock()
 }
 
 // Shed-cause labels: why an admission was refused. "full" is an immediate
@@ -395,11 +375,7 @@ func (e *Engine) acquire(ctx context.Context) error {
 	default:
 	}
 	if e.cfg.QueueTimeout <= 0 {
-		e.rejected.Add(1)
-		e.shedFull.Add(1)
-		e.cfg.Telemetry.recordAdmissionWait(e.name(), time.Since(start))
-		e.cfg.Telemetry.recordShed(e.name(), ShedFull)
-		return ErrBusy
+		return e.shed(ShedFull, start, ErrBusy)
 	}
 	e.waiting.Add(1)
 	defer e.waiting.Add(-1)
@@ -410,42 +386,41 @@ func (e *Engine) acquire(ctx context.Context) error {
 		e.cfg.Telemetry.recordAdmissionWait(e.name(), time.Since(start))
 		return nil
 	case <-timer.C:
-		e.rejected.Add(1)
-		e.shedTimeout.Add(1)
-		e.cfg.Telemetry.recordAdmissionWait(e.name(), time.Since(start))
-		e.cfg.Telemetry.recordShed(e.name(), ShedTimeout)
-		return ErrBusy
+		return e.shed(ShedTimeout, start, ErrBusy)
 	case <-ctx.Done():
-		e.rejected.Add(1)
-		e.shedCancelled.Add(1)
-		e.cfg.Telemetry.recordAdmissionWait(e.name(), time.Since(start))
-		e.cfg.Telemetry.recordShed(e.name(), ShedCancelled)
-		return ctx.Err()
+		return e.shed(ShedCancelled, start, ctx.Err())
 	}
+}
+
+// shed counts one admission refused for cause after waiting since start, and
+// returns err.
+func (e *Engine) shed(cause string, start time.Time, err error) error {
+	e.mu.Lock()
+	e.counts.Rejected++
+	switch cause {
+	case ShedFull:
+		e.counts.ShedFull++
+	case ShedTimeout:
+		e.counts.ShedTimeout++
+	default:
+		e.counts.ShedCancelled++
+	}
+	e.mu.Unlock()
+	e.cfg.Telemetry.recordAdmissionWait(e.name(), time.Since(start))
+	e.cfg.Telemetry.recordShed(e.name(), cause)
+	return err
 }
 
 func (e *Engine) release() { <-e.sem }
 
-// Stats is a point-in-time snapshot of an engine's counters.
+// Stats is a point-in-time snapshot of an engine's counters, slot pool and
+// table.
 type Stats struct {
-	Capacity    int   // session slots
-	Active      int   // sessions currently running
-	Waiting     int64 // requests queued for a slot
-	Started     int64 // sessions admitted
-	Completed   int64 // sessions that reached their full requested depth
-	DeadlineCut int64 // sessions cut short by their deadline
-	Rejected    int64 // admissions refused (queue timeout or caller gave up)
-	Failed      int64 // sessions that errored
+	Capacity int   // session slots
+	Active   int   // sessions currently running
+	Waiting  int64 // requests queued for a slot
 
-	// Rejected broken down by cause: "full" (immediate, no queue configured),
-	// "timeout" (queue wait expired), "cancelled" (caller gave up queued).
-	ShedFull      int64
-	ShedTimeout   int64
-	ShedCancelled int64
-	Nodes         int64 // total tree nodes generated across all sessions
-	Researches    int64 // wide-window re-searches across all sessions
-	Probes        int64 // root-driver null-window probes across all sessions
-	Iterations    int64 // completed deepening iterations across all sessions
+	Counters
 
 	// Backend is the engine's default search backend; BackendSessions counts
 	// admitted sessions per backend actually used (per-request overrides make
@@ -456,25 +431,9 @@ type Stats struct {
 	Driver          string
 	DriverSessions  map[string]int64
 
-	// Core-search aggregates across all sessions.
-	SerialTasks int64 // serial-ER subtree work units
-	LeafTasks   int64 // frontier/terminal static evaluations
-	SpecPops    int64 // speculative-queue pops
-	Dropped     int64 // dead nodes discarded at pop time
-	CutoffDrops int64 // nodes cut off at pop time
-	HeapOps     int64 // problem-heap pushes + pops
-	Steals      int64 // sharded-heap tasks taken from another worker's shard
-	StealFails  int64 // steal sweeps that found every shard empty
-
-	// Transposition traffic as the searches saw it: session-level root-child
-	// probes plus the core serial tasks' probes.
-	TTProbes  int64
-	TTHits    int64
-	TTStores  int64
-	TTCutoffs int64 // searches answered by the table without searching
-
+	// TableHitRate is TTHits/TTProbes: the hit rate of every probe the
+	// engine's sessions sent to the table.
 	HasTable     bool
-	Table        tt.SharedStats
 	TableHitRate float64
 	TableFill    int
 	TableLen     int
@@ -485,64 +444,42 @@ type Stats struct {
 	TableGeneration uint8
 }
 
-// Stats returns the engine's current counters. Counters are atomics; the
-// snapshot is approximate while sessions are running.
+// Stats returns the engine's current counters. Each session folds its work
+// in when it ends, so the snapshot trails sessions still running.
 func (e *Engine) Stats() Stats {
 	s := Stats{
-		Capacity:      cap(e.sem),
-		Active:        len(e.sem),
-		Waiting:       e.waiting.Load(),
-		Started:       e.started.Load(),
-		Completed:     e.completed.Load(),
-		DeadlineCut:   e.deadlineCut.Load(),
-		Rejected:      e.rejected.Load(),
-		Failed:        e.failed.Load(),
-		ShedFull:      e.shedFull.Load(),
-		ShedTimeout:   e.shedTimeout.Load(),
-		ShedCancelled: e.shedCancelled.Load(),
-		Nodes:         e.nodes.Load(),
-		Researches:    e.researches.Load(),
-		Probes:        e.probes.Load(),
-		Iterations:    e.iterations.Load(),
-		SerialTasks:   e.serialTasks.Load(),
-		LeafTasks:     e.leafTasks.Load(),
-		SpecPops:      e.specPops.Load(),
-		Dropped:       e.dropped.Load(),
-		CutoffDrops:   e.cutoffDrops.Load(),
-		HeapOps:       e.heapOps.Load(),
-		Steals:        e.steals.Load(),
-		StealFails:    e.stealFails.Load(),
-		TTProbes:      e.ttProbes.Load(),
-		TTHits:        e.ttHits.Load(),
-		TTStores:      e.ttStores.Load(),
-		TTCutoffs:     e.ttCutoffs.Load(),
-		Backend:       e.cfg.Backend,
-		Driver:        e.cfg.Driver,
+		Capacity: cap(e.sem),
+		Active:   len(e.sem),
+		Waiting:  e.waiting.Load(),
+		Backend:  e.cfg.Backend,
+		Driver:   e.cfg.Driver,
 	}
-	e.bmu.Lock()
+	e.mu.Lock()
+	s.Counters = e.counts
 	if len(e.backendSessions) > 0 {
-		s.BackendSessions = make(map[string]int64, len(e.backendSessions))
-		for k, v := range e.backendSessions {
-			s.BackendSessions[k] = v
-		}
+		s.BackendSessions = maps.Clone(e.backendSessions)
 	}
 	if len(e.driverSessions) > 0 {
-		s.DriverSessions = make(map[string]int64, len(e.driverSessions))
-		for k, v := range e.driverSessions {
-			s.DriverSessions[k] = v
-		}
+		s.DriverSessions = maps.Clone(e.driverSessions)
 	}
-	e.bmu.Unlock()
+	e.mu.Unlock()
 	if e.table != nil {
 		s.HasTable = true
-		s.Table = e.table.Stats()
-		s.TableHitRate = e.table.HitRate()
+		s.TableHitRate = hitRate(s.TTHits, s.TTProbes)
 		s.TableFill = e.table.Fill()
 		s.TableLen = e.table.Len()
 		s.TableImpl = e.table.Impl()
 		s.TableGeneration = e.table.Generation()
 	}
 	return s
+}
+
+// hitRate returns hits over probes, 0 before the first probe.
+func hitRate(hits, probes int64) float64 {
+	if probes == 0 {
+		return 0
+	}
+	return float64(hits) / float64(probes)
 }
 
 // Table exposes the engine's shared transposition table (nil when disabled);
@@ -554,48 +491,30 @@ func (e *Engine) Table() tt.SharedTable { return e.table }
 // exposition-time gauges and load-test samplers can poll it freely.
 func (e *Engine) Waiting() int64 { return e.waiting.Load() }
 
-// Gauges is the cheap subset of Stats the self-monitor samples: plain atomic
-// loads plus the table's sampled fill, no maps and no locks, so a 4 Hz
-// background sampler reads it without perturbing the serving path.
-type Gauges struct {
-	InFlight      int64 // sessions holding a slot
-	Waiting       int64 // admission queue depth
-	Sessions      int64 // admitted sessions (cumulative)
-	Iterations    int64 // completed deepening iterations (cumulative)
-	Probes        int64 // root-driver null-window probes (cumulative)
-	ShedFull      int64
-	ShedTimeout   int64
-	ShedCancelled int64
-	Steals        int64
-	StealFails    int64
-	TTProbes      int64
-	TTHits        int64
-	TTFill        int64
-	TTLen         int64
-	TTGeneration  int64 // current aging generation (wraps at 256)
-}
-
-// Gauges returns the engine's self-monitoring gauge snapshot. Safe for
-// concurrent use and cheap enough to poll at sampling rates.
-func (e *Engine) Gauges() Gauges {
-	g := Gauges{
-		InFlight:      int64(len(e.sem)),
-		Waiting:       e.waiting.Load(),
-		Sessions:      e.started.Load(),
-		Iterations:    e.iterations.Load(),
-		Probes:        e.probes.Load(),
-		ShedFull:      e.shedFull.Load(),
-		ShedTimeout:   e.shedTimeout.Load(),
-		ShedCancelled: e.shedCancelled.Load(),
-		Steals:        e.steals.Load(),
-		StealFails:    e.stealFails.Load(),
-		TTProbes:      e.ttProbes.Load(),
-		TTHits:        e.ttHits.Load(),
-	}
+// AddSample adds the engine's reading into sm: its cumulative counters, its
+// admission queue and its table's occupancy and generation. InFlight is set,
+// not added, to the occupancy of the engine's slot pool, because engines
+// sharing a Pool read the same pool. AddSample takes the counter lock once
+// and allocates nothing, so a background sampler can call it at any rate.
+func (e *Engine) AddSample(sm *obs.Sample) {
+	sm.InFlight = int64(len(e.sem))
+	sm.Waiting += e.waiting.Load()
+	e.mu.Lock()
+	c := &e.counts
+	sm.Sessions += c.Started
+	sm.Iterations += c.Iterations
+	sm.Probes += c.Probes
+	sm.ShedFull += c.ShedFull
+	sm.ShedTimeout += c.ShedTimeout
+	sm.ShedCancelled += c.ShedCancelled
+	sm.Steals += c.Steals
+	sm.StealFails += c.StealFails
+	sm.TTProbes += c.TTProbes
+	sm.TTHits += c.TTHits
+	e.mu.Unlock()
 	if e.table != nil {
-		g.TTFill = int64(e.table.Fill())
-		g.TTLen = int64(e.table.Len())
-		g.TTGeneration = int64(e.table.Generation())
+		sm.TTFill += int64(e.table.Fill())
+		sm.TTLen += int64(e.table.Len())
+		sm.TTGenerations += int64(e.table.Generation())
 	}
-	return g
 }

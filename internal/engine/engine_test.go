@@ -173,7 +173,7 @@ func TestSharedTableAcrossSessions(t *testing.T) {
 	if second.Nodes*4 > first.Nodes {
 		t.Fatalf("shared table bought too little: first %d nodes, second %d", first.Nodes, second.Nodes)
 	}
-	if st := e.Stats(); !st.HasTable || st.Table.Hits == 0 {
+	if st := e.Stats(); !st.HasTable || st.TTHits == 0 {
 		t.Fatalf("no table hits recorded: %+v", st)
 	}
 }

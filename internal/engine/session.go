@@ -136,7 +136,7 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 		return nil, err
 	}
 	defer e.release()
-	e.started.Add(1)
+	e.admit(be.Name(), drv.Name())
 	// Register with the stall watchdog: the self-monitor fires when a session
 	// makes no iteration progress within a multiple of its budget. Disabled
 	// (the default), this whole block is one nil test.
@@ -149,9 +149,7 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 		beat = e.cfg.Obs.SessionStart(opts.Label, budget)
 		defer e.cfg.Obs.SessionEnd(beat)
 	}
-	e.countBackendSession(be.Name())
 	e.cfg.Telemetry.recordBackendSession(e.name(), be.Name())
-	e.countDriverSession(drv.Name())
 	e.cfg.Telemetry.recordDriverSession(e.name(), drv.Name())
 	if e.table != nil {
 		// One admitted session = one aging tick: entries untouched since
@@ -210,7 +208,9 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 		an.Iterations = append(an.Iterations, it)
 		an.Move, an.Value, an.Depth = it.Move, it.Value, it.Depth
 		s.prev = it.Value
-		e.iterations.Add(1)
+		e.mu.Lock()
+		e.counts.Iterations++
+		e.mu.Unlock()
 		if beat >= 0 {
 			e.cfg.Obs.SessionProgress(beat)
 		}
@@ -222,44 +222,49 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 		s.reorder()
 	}
 	an.Elapsed = time.Since(start)
-	an.Nodes = s.nodes
+	an.Nodes = s.tot.Nodes
 	if s.trace != nil {
 		an.Trace = s.trace.workers()
 	}
 	if len(an.Iterations) == 0 {
-		e.deadlineCut.Add(1)
 		s.finish(outcomeNoResult, an.Elapsed, 0, researches, probes)
 		return nil, ErrNoResult
 	}
 	an.Completed = an.Depth == maxDepth
 	outcome := outcomeDeadlineCut
 	if an.Completed {
-		e.completed.Add(1)
 		outcome = outcomeCompleted
-	} else {
-		e.deadlineCut.Add(1)
 	}
 	s.finish(outcome, an.Elapsed, an.Depth, researches, probes)
 	return an, nil
 }
 
-// finish folds the session's accumulated counters into the engine and its
-// Telemetry. Called exactly once per admitted session, on every exit path.
+// finish folds the session's outcome and accumulated totals into the
+// engine's counters and its Telemetry. Called exactly once per admitted
+// session, on every exit path.
 func (s *session) finish(outcome string, elapsed time.Duration, depth, researches, probes int) {
 	e := s.e
-	if outcome == outcomeFailed {
-		e.failed.Add(1)
+	e.mu.Lock()
+	c := &e.counts
+	switch outcome {
+	case outcomeCompleted:
+		c.Completed++
+	case outcomeFailed:
+		c.Failed++
+	default: // a deadline cut, with or without a completed iteration
+		c.DeadlineCut++
 	}
-	e.nodes.Add(s.nodes)
-	e.researches.Add(int64(researches))
-	e.probes.Add(int64(probes))
-	e.addCore(&s.core)
+	c.Researches += int64(researches)
+	c.Probes += int64(probes)
+	c.Totals.Add(s.tot)
+	rate := hitRate(c.TTHits, c.TTProbes)
+	e.mu.Unlock()
 	tel := e.cfg.Telemetry
-	tel.recordSession(e.name(), outcome, elapsed, depth, researches, s.nodes)
+	tel.recordSession(e.name(), outcome, elapsed, depth, researches, s.tot.Nodes)
 	tel.recordDriverProbes(e.name(), s.drv.Name(), int64(probes))
-	tel.recordCore(e.name(), &s.core)
+	tel.recordCore(e.name(), s.tot)
 	if e.table != nil {
-		tel.recordTable(e.name(), e.table)
+		tel.recordTable(e.name(), e.table, rate)
 	}
 }
 
@@ -274,8 +279,7 @@ type session struct {
 	order  []int           // search order (indices into kids)
 	scores []game.Value    // latest root-view score per child (bounds for non-best)
 	prev   game.Value      // previous iteration's value (aspiration center)
-	nodes  int64
-	core   coreTotals      // search work counters, flushed once at finish
+	tot    backend.Totals  // search work, folded into the engine once at finish
 	hooks  *core.Hooks     // non-nil when the session is traced
 	trace  *traceCollector // collects worker telemetry for Analysis.Trace
 
@@ -306,8 +310,7 @@ func (s *session) observeWorker(wt core.WorkerTelemetry) {
 func (s *session) iterate(depth int) (Iteration, error) {
 	it := Iteration{Depth: depth}
 	start := time.Now()
-	nodes0 := s.nodes
-	steals0 := s.core.steals
+	nodes0, steals0 := s.tot.Nodes, s.tot.Steals
 	res, err := s.drv.Resolve(func(w game.Window) (int, game.Value, error) {
 		return s.searchRoot(depth, w)
 	}, s.prev)
@@ -317,8 +320,8 @@ func (s *session) iterate(depth int) (Iteration, error) {
 		return it, err
 	}
 	it.Move, it.Value = res.Move, res.Value
-	it.Nodes = s.nodes - nodes0
-	it.Steals = s.core.steals - steals0
+	it.Nodes = s.tot.Nodes - nodes0
+	it.Steals = s.tot.Steals - steals0
 	it.HeapPeak = int(s.heapPeak.Swap(0))
 	it.Elapsed = time.Since(start)
 	return it, nil
@@ -338,8 +341,7 @@ func (s *session) searchRoot(depth int, w game.Window) (bestIdx int, best game.V
 		Cancel:    s.cancel,
 		Hooks:     s.hooks,
 	})
-	s.nodes += resp.Totals.Nodes
-	s.core.addTotals(resp.Totals)
+	s.tot.Add(resp.Totals)
 	if err != nil {
 		return -1, 0, err
 	}
@@ -357,7 +359,8 @@ func (s *session) searchRoot(depth int, w game.Window) (bestIdx int, best game.V
 // so a warm table (an earlier session on the same line, or the core's own
 // in-search stores) orders the root moves before a single node is searched.
 // The cached values are bounds of mixed depths, which is fine: they steer
-// ordering only; exactness comes from the searches themselves.
+// ordering only; exactness comes from the searches themselves. The probes
+// and hits count into the session's totals like the searches' own.
 func (s *session) primeScores() {
 	if s.e.table == nil {
 		return
@@ -368,7 +371,9 @@ func (s *session) primeScores() {
 		if !ok {
 			return
 		}
+		s.tot.TTProbes++
 		if en, ok := s.e.table.ProbeDeep(h.Hash(), 0); ok {
+			s.tot.TTHits++
 			s.scores[i] = -en.Value
 			primed = true
 		}

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"ertree/internal/backend"
+	"ertree/internal/obs"
 	"ertree/internal/randtree"
 	"ertree/internal/telemetry"
 	"ertree/internal/tt"
@@ -70,8 +72,8 @@ func TestTelemetryNilIsSafe(t *testing.T) {
 	var tel *Telemetry
 	tel.recordSession("x", outcomeCompleted, time.Second, 3, 0, 10)
 	tel.recordRejection("x")
-	tel.recordCore("x", &coreTotals{serialTasks: 1})
-	tel.recordTable("x", tt.NewDefault(8, 0))
+	tel.recordCore("x", backend.Totals{SerialTasks: 1})
+	tel.recordTable("x", tt.NewDefault(8, 0), 0.5)
 }
 
 // TestAnalyzeTraceCollectsWorkerSpans: a traced session returns merged
@@ -138,8 +140,10 @@ func TestAnalyzeTraceCollectsWorkerSpans(t *testing.T) {
 }
 
 // TestStatsConcurrentSessions races many sessions — including rejected
-// admissions — against Stats readers and checks the final counters balance.
-// Run under -race this also proves the counters are data-race free.
+// admissions — against a Stats reader and an obs sampler, and checks the
+// final counters balance and every view of them agrees: Stats, an AddSample
+// reading and the registry families. Run under -race this also proves the
+// counters are data-race free.
 func TestStatsConcurrentSessions(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := New(Config{
@@ -154,9 +158,10 @@ func TestStatsConcurrentSessions(t *testing.T) {
 	var mu sync.Mutex
 	okCount, rejected := 0, 0
 	stop := make(chan struct{})
-	readerDone := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(2)
 	go func() { // concurrent Stats reader, stopped once the sessions drain
-		defer close(readerDone)
+		defer readers.Done()
 		for {
 			select {
 			case <-stop:
@@ -167,6 +172,26 @@ func TestStatsConcurrentSessions(t *testing.T) {
 					t.Errorf("inconsistent live stats: %+v", s)
 					return
 				}
+			}
+		}
+	}()
+	go func() { // concurrent obs sampler: cumulative readings never go back
+		defer readers.Done()
+		var prev obs.Sample
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				var sm obs.Sample
+				e.AddSample(&sm)
+				if sm.InFlight < 0 || sm.InFlight > 2 || sm.Sessions < prev.Sessions ||
+					sm.Iterations < prev.Iterations || sm.TTProbes < prev.TTProbes ||
+					sm.TTHits < prev.TTHits || sm.TTHits > sm.TTProbes {
+					t.Errorf("inconsistent live sample %+v after %+v", sm, prev)
+					return
+				}
+				prev = sm
 			}
 		}
 	}()
@@ -189,7 +214,7 @@ func TestStatsConcurrentSessions(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	<-readerDone
+	readers.Wait()
 
 	st := e.Stats()
 	if st.Started != int64(okCount) || st.Completed != int64(okCount) {
@@ -205,22 +230,63 @@ func TestStatsConcurrentSessions(t *testing.T) {
 		t.Fatalf("work counters empty after %d sessions: %+v", okCount, st)
 	}
 	// Registry sessions by outcome must match the engine's own counters.
-	var completedSamples, rejectedSamples float64
-	for _, fam := range reg.Snapshot() {
-		if fam.Name != "engine_sessions_total" {
-			continue
-		}
-		for _, s := range fam.Samples {
-			switch s.Labels["outcome"] {
-			case "completed":
-				completedSamples += s.Value
-			case "rejected":
-				rejectedSamples += s.Value
-			}
-		}
-	}
+	completedSamples := registryCount(reg, "engine_sessions_total", "outcome", "completed")
+	rejectedSamples := registryCount(reg, "engine_sessions_total", "outcome", "rejected")
 	if int(completedSamples) != okCount || int(rejectedSamples) != rejected {
 		t.Fatalf("registry saw %v completed / %v rejected, engine saw %d / %d",
 			completedSamples, rejectedSamples, okCount, rejected)
 	}
+
+	// The drained engine reads the same through every view.
+	var sm obs.Sample
+	e.AddSample(&sm)
+	for _, v := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"sample sessions", sm.Sessions, st.Started},
+		{"sample iterations", sm.Iterations, st.Iterations},
+		{"sample probes", sm.Probes, st.Probes},
+		{"sample sheds", sm.Sheds(), st.Rejected},
+		{"sample steals", sm.Steals, st.Steals},
+		{"sample steal fails", sm.StealFails, st.StealFails},
+		{"sample tt probes", sm.TTProbes, st.TTProbes},
+		{"sample tt hits", sm.TTHits, st.TTHits},
+		{"sample tt fill", sm.TTFill, int64(st.TableFill)},
+		{"sample tt len", sm.TTLen, int64(st.TableLen)},
+		{"sample tt generations", sm.TTGenerations, int64(st.TableGeneration)},
+		{"engine_session_nodes_total", registryCount(reg, "engine_session_nodes_total", "", ""), st.Nodes},
+		{"core_tasks_total serial", registryCount(reg, "core_tasks_total", "kind", "serial"), st.SerialTasks},
+		{"core_tasks_total leaf", registryCount(reg, "core_tasks_total", "kind", "leaf"), st.LeafTasks},
+		{"core_tasks_total spec_pop", registryCount(reg, "core_tasks_total", "kind", "spec_pop"), st.SpecPops},
+		{"core_tasks_total dropped", registryCount(reg, "core_tasks_total", "kind", "dropped"), st.Dropped},
+		{"core_tasks_total cutoff_drop", registryCount(reg, "core_tasks_total", "kind", "cutoff_drop"), st.CutoffDrops},
+		{"core_tasks_total steal", registryCount(reg, "core_tasks_total", "kind", "steal"), st.Steals},
+		{"core_tasks_total steal_fail", registryCount(reg, "core_tasks_total", "kind", "steal_fail"), st.StealFails},
+		{"core_tt_ops_total probe", registryCount(reg, "core_tt_ops_total", "op", "probe"), st.TTProbes},
+		{"core_tt_ops_total hit", registryCount(reg, "core_tt_ops_total", "op", "hit"), st.TTHits},
+		{"core_tt_ops_total store", registryCount(reg, "core_tt_ops_total", "op", "store"), st.TTStores},
+		{"core_tt_ops_total cutoff", registryCount(reg, "core_tt_ops_total", "op", "cutoff"), st.TTCutoffs},
+	} {
+		if v.got != v.want {
+			t.Errorf("%s = %d, Stats says %d", v.name, v.got, v.want)
+		}
+	}
+}
+
+// registryCount sums the samples of family whose label key has value val
+// (every sample when key is empty).
+func registryCount(reg *telemetry.Registry, family, key, val string) int64 {
+	var n float64
+	for _, fam := range reg.Snapshot() {
+		if fam.Name != family {
+			continue
+		}
+		for _, s := range fam.Samples {
+			if key == "" || s.Labels[key] == val {
+				n += s.Value
+			}
+		}
+	}
+	return int64(n)
 }

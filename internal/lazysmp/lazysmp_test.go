@@ -68,15 +68,17 @@ func TestSharedTableStress(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, sessions)
 	vals := make([]game.Value, sessions)
+	tots := make([]backend.Totals, sessions)
 	for i := 0; i < sessions; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			resp, err := be.Search(backend.Request{Pos: pos, Depth: depth, Window: game.FullWindow()})
-			errs[i], vals[i] = err, resp.Value
+			errs[i], vals[i], tots[i] = err, resp.Value, resp.Totals
 		}(i)
 	}
 	wg.Wait()
+	var traffic backend.Totals
 	for i := 0; i < sessions; i++ {
 		if errs[i] != nil {
 			t.Fatalf("session %d: %v", i, errs[i])
@@ -84,9 +86,10 @@ func TestSharedTableStress(t *testing.T) {
 		if vals[i] != want {
 			t.Fatalf("session %d: value %d, want %d", i, vals[i], want)
 		}
+		traffic.Add(tots[i])
 	}
-	if st := table.Stats(); st.Probes == 0 || st.Stores == 0 {
-		t.Fatalf("stress ran without table traffic: %+v", st)
+	if traffic.TTProbes == 0 || traffic.TTStores == 0 {
+		t.Fatalf("stress ran without table traffic: %+v", traffic)
 	}
 }
 

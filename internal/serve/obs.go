@@ -26,28 +26,13 @@ func newObsMonitor(cfg Config, s *Server) *obs.Monitor {
 	})
 }
 
-// obsSample is the monitor's gauge source: the shared admission pool plus
-// every engine's cheap atomic counters, summed — the table gauges sum across
-// the per-game tables, so fill/hit-rate deltas describe the server's whole
-// transposition footprint.
+// obsSample is the monitor's gauge source and /healthz's reading: every
+// engine's AddSample, summed — the table gauges sum across the per-game
+// tables, so fill/hit-rate deltas describe the server's whole transposition
+// footprint. The engines share one slot pool, so each sets the same InFlight.
 func (s *Server) obsSample(sm *obs.Sample) {
-	sm.InFlight = int64(len(s.pool))
 	for _, e := range s.engines {
-		g := e.Gauges()
-		sm.Waiting += g.Waiting
-		sm.Sessions += g.Sessions
-		sm.Iterations += g.Iterations
-		sm.Probes += g.Probes
-		sm.ShedFull += g.ShedFull
-		sm.ShedTimeout += g.ShedTimeout
-		sm.ShedCancelled += g.ShedCancelled
-		sm.Steals += g.Steals
-		sm.StealFails += g.StealFails
-		sm.TTProbes += g.TTProbes
-		sm.TTHits += g.TTHits
-		sm.TTFill += g.TTFill
-		sm.TTLen += g.TTLen
-		sm.TTGenerations += g.TTGeneration
+		e.AddSample(sm)
 	}
 }
 

@@ -582,6 +582,8 @@ type healthzTTJSON struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	var sm obs.Sample
+	s.obsSample(&sm)
 	out := healthzJSON{
 		Status:    "ok",
 		UptimeMS:  time.Since(s.start).Milliseconds(),
@@ -591,28 +593,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		TableImpl: "none",
 		InFlight:  len(s.pool),
 		Capacity:  cap(s.pool),
-		Waiting:   s.queueDepth(),
+		Waiting:   sm.Waiting,
 		Anomalies: s.obs.AnomalyTotal(),
 	}
-	var ttProbes, ttHits int64
 	for _, e := range s.engines {
-		t := e.Table()
-		if t == nil {
-			continue
-		}
-		if out.TT == nil {
-			out.TT = &healthzTTJSON{Impl: t.Impl()}
+		if t := e.Table(); t != nil {
 			out.TableImpl = t.Impl()
+			out.TT = &healthzTTJSON{
+				Impl:       t.Impl(),
+				Fill:       sm.TTFill,
+				Len:        sm.TTLen,
+				Generation: sm.TTGenerations,
+			}
+			if sm.TTProbes > 0 {
+				out.TT.HitRate = float64(sm.TTHits) / float64(sm.TTProbes)
+			}
+			break
 		}
-		g := e.Gauges()
-		out.TT.Fill += g.TTFill
-		out.TT.Len += g.TTLen
-		out.TT.Generation += g.TTGeneration
-		ttProbes += g.TTProbes
-		ttHits += g.TTHits
-	}
-	if out.TT != nil && ttProbes > 0 {
-		out.TT.HitRate = float64(ttHits) / float64(ttProbes)
 	}
 	s.writeJSON(w, http.StatusOK, out)
 }

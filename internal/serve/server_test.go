@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -203,8 +205,48 @@ func TestHealthzAndStats(t *testing.T) {
 	if !ok || g.Started != 1 || g.Completed != 1 || g.Nodes <= 0 {
 		t.Fatalf("stats for ttt: %+v", g)
 	}
-	if !g.HasTable || g.Table.Stores == 0 {
+	if !g.HasTable || g.TTStores == 0 {
 		t.Fatalf("ttt engine reports no table activity: %+v", g)
+	}
+}
+
+// TestStatsAndHealthzKeys pins the JSON key sets of a /stats game entry and
+// of /healthz. engine.Stats is built from embedded structs, and
+// encoding/json silently drops clashing promoted fields, so a lost key would
+// not fail to compile.
+func TestStatsAndHealthzKeys(t *testing.T) {
+	ts := testServer(t, Config{Workers: 1, MaxConcurrent: 2, TableBits: 12})
+	client := &http.Client{Timeout: 5 * time.Second}
+	getJSON(t, client, ts.URL+"/bestmove?game=ttt&depth=3&budget_ms=2000", http.StatusOK, nil)
+	keys := func(m map[string]any) string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, " ")
+	}
+	var st struct {
+		Games map[string]map[string]any `json:"games"`
+	}
+	getJSON(t, client, ts.URL+"/stats", http.StatusOK, &st)
+	want := "Active Backend BackendSessions Capacity Completed CutoffDrops DeadlineCut " +
+		"Driver DriverSessions Dropped Failed HasTable HeapOps Iterations LeafTasks Nodes " +
+		"Probes Rejected Researches SerialTasks ShedCancelled ShedFull ShedTimeout SpecPops " +
+		"Started StealFails Steals TTCutoffs TTHits TTProbes TTStores TableFill " +
+		"TableGeneration TableHitRate TableImpl TableLen Waiting"
+	if got := keys(st.Games["ttt"]); got != want {
+		t.Errorf("/stats games.ttt keys:\n got %s\nwant %s", got, want)
+	}
+	var hz map[string]any
+	getJSON(t, client, ts.URL+"/healthz", http.StatusOK, &hz)
+	want = "anomalies backend capacity driver games in_flight status table_impl tt uptime_ms waiting"
+	if got := keys(hz); got != want {
+		t.Errorf("/healthz keys:\n got %s\nwant %s", got, want)
+	}
+	section, _ := hz["tt"].(map[string]any)
+	if got, want := keys(section), "fill generation hit_rate impl len"; got != want {
+		t.Errorf("/healthz tt keys:\n got %s\nwant %s", got, want)
 	}
 }
 

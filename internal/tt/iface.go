@@ -10,10 +10,13 @@ import (
 
 // SharedTable is the full contract of a process-shared transposition table:
 // the Prober probe/store pair the core workers use, the ProbeDeep/StoreDeep
-// memory-reusing pair of the deepening drivers, occupancy and traffic
-// introspection for the serving layer, and generation aging for replacement.
-// Two implementations register here: the mutex-striped Shared (the
-// comparison baseline) and the lock-free LockFree table (the default).
+// memory-reusing pair of the deepening drivers, occupancy introspection for
+// the serving layer, and generation aging for replacement. A table counts no
+// traffic: the code that issues a probe or store counts it (backend.Totals),
+// so each count has one source and the probe and store paths share no
+// counter cache line. Two implementations register here: the mutex-striped
+// Shared (the comparison baseline) and the lock-free LockFree table (the
+// default).
 type SharedTable interface {
 	Prober
 	// ProbeDeep looks up the entry for key at depth or deeper (Plaat-style
@@ -26,9 +29,6 @@ type SharedTable interface {
 	// estimate on large tables).
 	Len() int
 	Fill() int
-	// Stats and HitRate snapshot the probe/store traffic counters.
-	Stats() SharedStats
-	HitRate() float64
 	// NewSearch bumps the table's generation: entries stored before the bump
 	// age, and aged entries lose replacement priority. Engines call it once
 	// per admitted session.

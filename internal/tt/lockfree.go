@@ -32,8 +32,6 @@ type LockFree struct {
 	mask    uint64 // len(buckets) - 1
 
 	gen atomic.Uint32
-
-	probes, hits, stores, replacements atomic.Int64
 }
 
 // lfSlots is the entry count per bucket: four 16-byte entries fill one
@@ -143,12 +141,10 @@ func (t *LockFree) refresh(b *lfBucket, i int, key, data uint64) {
 // Probe looks up the entry for key at exactly the given depth (the striped
 // table's equal-depth semantics).
 func (t *LockFree) Probe(key uint64, depth int) (Entry, bool) {
-	t.probes.Add(1)
 	b := t.bucket(key)
 	if i, data := b.find(key); i >= 0 {
 		e, _ := unpackEntry(key, data)
 		if int(e.Depth) == depth {
-			t.hits.Add(1)
 			t.refresh(b, i, key, data)
 			return e, true
 		}
@@ -161,7 +157,6 @@ func (t *LockFree) Probe(key uint64, depth int) (Entry, bool) {
 // than one copy of a key; the deepest is the one every memory-reusing driver
 // wants).
 func (t *LockFree) ProbeDeep(key uint64, depth int) (Entry, bool) {
-	t.probes.Add(1)
 	b := t.bucket(key)
 	best, bestSlot, bestData := Entry{}, -1, uint64(0)
 	for i := 0; i < lfSlots; i++ {
@@ -177,7 +172,6 @@ func (t *LockFree) ProbeDeep(key uint64, depth int) (Entry, bool) {
 	if bestSlot < 0 {
 		return Entry{}, false
 	}
-	t.hits.Add(1)
 	t.refresh(b, bestSlot, key, bestData)
 	return best, true
 }
@@ -208,7 +202,6 @@ func (t *LockFree) store(key uint64, depth int, value game.Value, bound Bound, d
 			return // keep the deeper entry
 		}
 		b.write(i, key, data)
-		t.stores.Add(1)
 		return
 	}
 
@@ -217,7 +210,6 @@ func (t *LockFree) store(key uint64, depth int, value game.Value, bound Bound, d
 	for i := 0; i < lfSlots; i++ {
 		if b.words[2*i+1].Load()&lfUsedBit == 0 {
 			b.write(i, key, data)
-			t.stores.Add(1)
 			return
 		}
 	}
@@ -241,11 +233,7 @@ func (t *LockFree) store(key uint64, depth int, value game.Value, bound Bound, d
 	if victim >= 0 && depth >= victimRetention {
 		slot = victim
 	}
-	if b.words[2*slot+1].Load()&lfUsedBit != 0 {
-		t.replacements.Add(1)
-	}
 	b.write(slot, key, data)
-	t.stores.Add(1)
 }
 
 // NewSearch bumps the generation: entries stored before the bump age by one.
@@ -288,25 +276,4 @@ func (t *LockFree) Fill() int {
 		est = max
 	}
 	return est
-}
-
-// Stats returns the current traffic counters. Each counter is read
-// atomically; the snapshot as a whole is approximate while writers are
-// active.
-func (t *LockFree) Stats() SharedStats {
-	return SharedStats{
-		Probes:       t.probes.Load(),
-		Hits:         t.hits.Load(),
-		Stores:       t.stores.Load(),
-		Replacements: t.replacements.Load(),
-	}
-}
-
-// HitRate returns hits over probes.
-func (t *LockFree) HitRate() float64 {
-	p := t.probes.Load()
-	if p == 0 {
-		return 0
-	}
-	return float64(t.hits.Load()) / float64(p)
 }

@@ -21,7 +21,7 @@ var _ Prober = (*Shared)(nil)
 // Shared is a concurrent transposition table: one direct-mapped slot array
 // divided into power-of-two shards, each guarded by its own mutex, so many
 // searches on the same game can share one table with low lock contention
-// (mutex striping). Statistics are atomics and may be read at any time.
+// (mutex striping).
 //
 // Probe and Store follow the same equal-depth-matching and
 // deeper-stranger-replacement policy as Table; ProbeDeep adds the
@@ -37,8 +37,6 @@ type Shared struct {
 	// counter only feeds introspection (Stats gauges, head-to-head
 	// comparisons with the lock-free table's aging policy).
 	gen atomic.Uint32
-
-	probes, hits, stores, replacements atomic.Int64
 }
 
 type sharedShard struct {
@@ -99,7 +97,6 @@ func (t *Shared) shard(key uint64) (*sharedShard, uint64) {
 // Probe looks up the entry for key at exactly the given depth, mirroring
 // Table.Probe semantics under the shard lock.
 func (t *Shared) Probe(key uint64, depth int) (Entry, bool) {
-	t.probes.Add(1)
 	s, i := t.shard(key)
 	s.mu.Lock()
 	e := s.slots[i]
@@ -107,7 +104,6 @@ func (t *Shared) Probe(key uint64, depth int) (Entry, bool) {
 	if !e.used || e.Key != key || int(e.Depth) != depth {
 		return Entry{}, false
 	}
-	t.hits.Add(1)
 	return e, true
 }
 
@@ -117,7 +113,6 @@ func (t *Shared) Probe(key uint64, depth int) (Entry, bool) {
 // to trade exact depth-d semantics for reuse can accept it. Exact-depth
 // matches behave exactly like Probe.
 func (t *Shared) ProbeDeep(key uint64, depth int) (Entry, bool) {
-	t.probes.Add(1)
 	s, i := t.shard(key)
 	s.mu.Lock()
 	e := s.slots[i]
@@ -125,7 +120,6 @@ func (t *Shared) ProbeDeep(key uint64, depth int) (Entry, bool) {
 	if !e.used || e.Key != key || int(e.Depth) < depth {
 		return Entry{}, false
 	}
-	t.hits.Add(1)
 	return e, true
 }
 
@@ -140,13 +134,8 @@ func (t *Shared) Store(key uint64, depth int, value game.Value, bound Bound) {
 		s.mu.Unlock()
 		return // keep the deeper stranger
 	}
-	replaced := e.used && e.Key != key
 	*e = Entry{Key: key, Depth: int16(depth), Value: value, Bound: bound, used: true}
 	s.mu.Unlock()
-	if replaced {
-		t.replacements.Add(1)
-	}
-	t.stores.Add(1)
 }
 
 // StoreDeep saves a result but never lets a shallower search evict a deeper
@@ -162,13 +151,8 @@ func (t *Shared) StoreDeep(key uint64, depth int, value game.Value, bound Bound)
 		s.mu.Unlock()
 		return // keep the deeper entry, same key or not
 	}
-	replaced := e.used && e.Key != key
 	*e = Entry{Key: key, Depth: int16(depth), Value: value, Bound: bound, used: true}
 	s.mu.Unlock()
-	if replaced {
-		t.replacements.Add(1)
-	}
-	t.stores.Add(1)
 }
 
 // Len returns the total slot count.
@@ -228,29 +212,4 @@ func (t *Shared) Fill() int {
 		est = max
 	}
 	return est
-}
-
-// SharedStats is an atomic snapshot of a Shared table's counters.
-type SharedStats struct {
-	Probes, Hits, Stores, Replacements int64
-}
-
-// Stats returns the current counters. Each counter is read atomically; the
-// snapshot as a whole is approximate while writers are active.
-func (t *Shared) Stats() SharedStats {
-	return SharedStats{
-		Probes:       t.probes.Load(),
-		Hits:         t.hits.Load(),
-		Stores:       t.stores.Load(),
-		Replacements: t.replacements.Load(),
-	}
-}
-
-// HitRate returns hits over probes.
-func (t *Shared) HitRate() float64 {
-	p := t.probes.Load()
-	if p == 0 {
-		return 0
-	}
-	return float64(t.hits.Load()) / float64(p)
 }

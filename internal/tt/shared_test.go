@@ -86,10 +86,9 @@ func TestSharedSmallTableClampsShards(t *testing.T) {
 }
 
 // TestSharedConcurrentStress hammers one Shared table from 8 goroutines with
-// interleaved probes and stores on an overlapping key set and asserts the
-// counters stay consistent: every probe and store is counted, hits never
-// exceed probes, and every hit returned a well-formed entry for the probed
-// key and depth. Run under -race this is the concurrency proof for the
+// interleaved probes and stores on an overlapping key set and asserts every
+// hit returned a well-formed entry for the probed key and depth, and that
+// Fill stays in range. Run under -race this is the concurrency proof for the
 // engine's shared-table mode.
 func TestSharedConcurrentStress(t *testing.T) {
 	const (
@@ -99,7 +98,6 @@ func TestSharedConcurrentStress(t *testing.T) {
 	)
 	s := NewShared(12, 8)
 	var wg sync.WaitGroup
-	var probesIssued, storesIssued, hitsSeen [workers]int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -115,11 +113,8 @@ func TestSharedConcurrentStress(t *testing.T) {
 				depth := int(rng>>32) % 6
 				if i%3 == 0 {
 					s.Store(key, depth, game.Value(int32(key*7)+int32(depth)), Bound(key%3))
-					storesIssued[w]++
 				} else {
-					probesIssued[w]++
 					if e, ok := s.Probe(key, depth); ok {
-						hitsSeen[w]++
 						if e.Key != key || int(e.Depth) != depth {
 							t.Errorf("hit returned foreign entry: key %d depth %d got %+v", key, depth, e)
 							return
@@ -137,32 +132,7 @@ func TestSharedConcurrentStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-
-	var wantProbes, wantStores, wantHits int64
-	for w := 0; w < workers; w++ {
-		wantProbes += probesIssued[w]
-		wantStores += storesIssued[w]
-		wantHits += hitsSeen[w]
-	}
-	st := s.Stats()
-	if st.Probes != wantProbes {
-		t.Fatalf("probe counter %d, issued %d", st.Probes, wantProbes)
-	}
-	if st.Hits != wantHits {
-		t.Fatalf("hit counter %d, observed %d", st.Hits, wantHits)
-	}
-	// Every store call either stored or was rejected by the deeper-stranger
-	// rule; the counter tracks the former, so it can never exceed calls.
-	if st.Stores > wantStores || st.Stores == 0 {
-		t.Fatalf("store counter %d, issued %d", st.Stores, wantStores)
-	}
-	if st.Hits > st.Probes {
-		t.Fatalf("hits %d exceed probes %d", st.Hits, st.Probes)
-	}
 	if got := s.Fill(); got > s.Len() || got == 0 {
 		t.Fatalf("fill %d out of range (len %d)", got, s.Len())
-	}
-	if hr := s.HitRate(); hr < 0 || hr > 1 {
-		t.Fatalf("hit rate %f out of range", hr)
 	}
 }
