@@ -135,34 +135,24 @@ func TestBackendFailSoftWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A window strictly above the true value: the search must fail low
-		// with an upper bound on the truth.
-		low, err := be.Search(backend.Request{
-			Pos: pos, Depth: depth,
-			Window: game.Window{Alpha: truth + 10, Beta: truth + 20},
-		})
-		if err != nil {
-			t.Fatalf("%s fail-low: %v", name, err)
-		}
-		if low.Exact {
-			t.Fatalf("%s: fail-low search claims exactness", name)
-		}
-		if low.Value < truth {
-			t.Fatalf("%s fail-low: value %d is not an upper bound on %d", name, low.Value, truth)
-		}
-		// A window strictly below: fail high with a lower bound.
-		high, err := be.Search(backend.Request{
-			Pos: pos, Depth: depth,
-			Window: game.Window{Alpha: truth - 20, Beta: truth - 10},
-		})
-		if err != nil {
-			t.Fatalf("%s fail-high: %v", name, err)
-		}
-		if high.Exact {
-			t.Fatalf("%s: fail-high search claims exactness", name)
-		}
-		if high.Value > truth {
-			t.Fatalf("%s fail-high: value %d is not a lower bound on %d", name, high.Value, truth)
+		// A window strictly above the true value (the search must fail low
+		// with an upper bound on the truth), then one strictly below (fail
+		// high with a lower bound).
+		for _, w := range []game.Window{
+			{Alpha: truth + 10, Beta: truth + 20},
+			{Alpha: truth - 20, Beta: truth - 10},
+		} {
+			resp, err := be.Search(backend.Request{Pos: pos, Depth: depth, Window: w})
+			if err != nil {
+				t.Fatalf("%s window (%d,%d): %v", name, w.Alpha, w.Beta, err)
+			}
+			if resp.Exact {
+				t.Fatalf("%s window (%d,%d): a search outside the window claims exactness", name, w.Alpha, w.Beta)
+			}
+			if !w.FailSoft(resp.Value, truth) {
+				t.Fatalf("%s window (%d,%d): value %d is not a fail-soft result for %d",
+					name, w.Alpha, w.Beta, resp.Value, truth)
+			}
 		}
 	}
 }

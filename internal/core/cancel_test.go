@@ -142,19 +142,9 @@ func TestRootWindowFailSoft(t *testing.T) {
 
 			check := func(label string, v game.Value) {
 				t.Helper()
-				switch {
-				case w.Contains(v):
-					if v != exact {
-						t.Fatalf("window %d %s P=%d: interior value %d, exact %d", wi, label, workers, v, exact)
-					}
-				case v <= w.Alpha: // fail low: v is an upper bound
-					if exact > v {
-						t.Fatalf("window %d %s P=%d: fail-low value %d below exact %d", wi, label, workers, v, exact)
-					}
-				default: // fail high: v is a lower bound
-					if exact < v {
-						t.Fatalf("window %d %s P=%d: fail-high value %d above exact %d", wi, label, workers, v, exact)
-					}
+				if !w.FailSoft(v, exact) {
+					t.Fatalf("window %d (%d,%d) %s P=%d: value %d is not a fail-soft result for exact %d",
+						wi, w.Alpha, w.Beta, label, workers, v, exact)
 				}
 			}
 			res, err := Search(root, depth, opt)

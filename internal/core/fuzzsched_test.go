@@ -209,7 +209,8 @@ func runFuzzCase(t testing.TB, c fuzzCase) {
 
 // runFuzzDriver deepens 1..depth through the configured root driver, every
 // iteration resolved by RootWindow-bounded searches of the fuzzed scheduler
-// configuration. Each depth's resolved value must match the oracle — the
+// configuration. Every probe's value must be a correct fail-soft result for
+// its window, and each depth's resolved value must match the oracle — the
 // driver must converge through whatever fail-soft bounds the fuzzed schedule
 // produces, with or without a table (the no-table mtdf degradation path is
 // half the fuzz space). Core searches report no root move, so resolution is
@@ -229,6 +230,10 @@ func runFuzzDriver(t testing.TB, c fuzzCase) {
 			res, err := Search(c.tree.Root(), depth, opt)
 			if err != nil {
 				return -1, 0, err
+			}
+			if !w.FailSoft(res.Value, want) {
+				t.Fatalf("driver %s depth %d window (%d,%d): probe returned %d, not a fail-soft result for oracle %d (tree %v opt %+v)",
+					c.drv, depth, w.Alpha, w.Beta, res.Value, want, c.tree, c.opt)
 			}
 			return -1, res.Value, nil
 		}, prev)

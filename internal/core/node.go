@@ -46,10 +46,17 @@ type node struct {
 	seq    uint64
 	typ    nodeType
 
-	// value is the fail-soft running value: the max over completed
-	// children of the negation of their values (-Inf before any child
-	// completes). It only ever increases.
+	// value is Figure 8's running value: the max over completed children
+	// of the negation of their values (-Inf before any child completes),
+	// where a serial task's contribution is serial ER's Figure 8 value. It
+	// only ever increases, and it alone steers the search: windows,
+	// cutoffs and the ranking of e-child candidates.
 	value game.Value
+	// soft is the fail-soft running value, folded the same way from the
+	// children's fail-soft values (serial.Searcher.ERValues). It agrees
+	// with value once both are clamped to the node's window, and it is
+	// what the search reports and stores in the table.
+	soft game.Value
 
 	// rootWin is the search window of the whole tree; meaningful only on
 	// the root node (Options.RootWindow, FullWindow by default).

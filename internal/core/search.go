@@ -170,7 +170,13 @@ func (c CostModel) Of(s game.StatsSnapshot) int64 {
 
 // Result reports the outcome of a parallel ER search.
 type Result struct {
-	// Value is the exact negamax value of the root.
+	// Value is the root's fail-soft value. With the full window it is the
+	// exact negamax value. Under Options.RootWindow it is exact when it
+	// lies strictly inside the window, an upper bound on the true value
+	// when it is at or below Alpha, and a lower bound when it is at or
+	// above Beta. On ErrAborted it is the running value over the root
+	// children that completed (-Inf when none had), a lower bound on the
+	// true value when the root window is full.
 	Value game.Value
 	// Exact reports that Value is the exact negamax value: the root
 	// resolved and the value lies strictly inside the root window. False
@@ -218,8 +224,8 @@ type Result struct {
 
 func (s *state) result(workers int) Result {
 	res := Result{
-		Value:       s.root.value,
-		Exact:       s.root.done && s.root.rootWin.Contains(s.root.value),
+		Value:       s.root.soft,
+		Exact:       s.root.done && s.root.rootWin.Contains(s.root.soft),
 		Stats:       s.stats.Snapshot(),
 		Workers:     workers,
 		SerialTasks: s.serialTasks.Load(),

@@ -136,7 +136,8 @@ func (s *state) release() {
 func (s *state) newNode(pos game.Position, parent *node, typ nodeType, depth int) *node {
 	s.seq++
 	n := s.arena.alloc()
-	n.pos, n.parent, n.typ, n.depth, n.value, n.seq = pos, parent, typ, depth, -game.Inf, s.seq
+	n.pos, n.parent, n.typ, n.depth, n.seq = pos, parent, typ, depth, s.seq
+	n.value, n.soft = -game.Inf, -game.Inf
 	if parent != nil {
 		n.ply = parent.ply + 1
 		n.specBorn = parent.specBorn
@@ -191,27 +192,30 @@ func (s *state) pushSpeculative(E *node, w *wctx) {
 	w.rt.HoldWork(s.cost.HeapOp)
 }
 
-// finish marks a node done with the given value and propagates the
-// completion. Lock held.
-func (s *state) finish(n *node, v game.Value, w *wctx) {
+// finish marks a node done with the given Figure 8 and fail-soft values and
+// propagates the completion. Lock held.
+func (s *state) finish(n *node, v, soft game.Value, w *wctx) {
 	if debugInvariants && n.done {
 		panic("core: node finished twice")
 	}
 	if v > n.value {
 		n.value = v
 	}
+	if soft > n.soft {
+		n.soft = soft
+	}
 	n.done = true
 	s.combine(n, w)
 }
 
 // cutoffAtPop abandons a node whose effective window closed while it was
-// queued. Its value is clamped to the window's beta so the contribution to
-// its parent cannot exceed what the bound already proves. Lock held.
+// queued. Both values are clamped to the window's beta so the contribution
+// to its parent cannot exceed what the bound already proves. Lock held.
 func (s *state) cutoffAtPop(n *node, win game.Window, w *wctx) {
 	s.cutoffDrops.Add(1)
 	w.stats.AddCutoffs(1)
 	n.cutoff = true
-	s.finish(n, game.Max(n.value, win.Beta), w)
+	s.finish(n, game.Max(n.value, win.Beta), game.Max(n.soft, win.Beta), w)
 }
 
 // table1 applies the node-generation rules of Table 1 to a live, expanded,
@@ -283,8 +287,8 @@ func (s *state) table1(n *node, w *wctx) {
 	}
 }
 
-// combine backs the completed node's value up the tree (§6), performing the
-// Table 2 actions at the first ancestor that still has work in flight.
+// combine backs the completed node's values up the tree (§6), performing
+// the Table 2 actions at the first ancestor that still has work in flight.
 // Lock held.
 func (s *state) combine(n *node, w *wctx) {
 	cur := n
@@ -305,6 +309,9 @@ func (s *state) combine(n *node, w *wctx) {
 		}
 		if -cur.value > p.value {
 			p.value = -cur.value
+		}
+		if -cur.soft > p.soft {
+			p.soft = -cur.soft
 		}
 		p.activeKids--
 		w.event(Event{Kind: EvCombine, Seq: cur.seq, Par: p.seq,

@@ -54,7 +54,7 @@ func (h *harness) step(t *testing.T) *node {
 		h.w.rt.Unlock()
 		v := n.pos.Value()
 		h.w.rt.Lock()
-		h.s.finish(n, v, h.w)
+		h.s.finish(n, v, v, h.w)
 	case n.depth <= h.s.opt.SerialDepth && n.typ == eNode:
 		h.s.serialTask(n, w, h.w)
 	case n.examine:
@@ -67,7 +67,7 @@ func (h *harness) step(t *testing.T) *node {
 			h.w.rt.Unlock()
 			v := n.pos.Value()
 			h.w.rt.Lock()
-			h.s.finish(n, v, h.w)
+			h.s.finish(n, v, v, h.w)
 			return n
 		}
 		h.s.table1(n, h.w)

@@ -125,77 +125,63 @@ func (s *state) leafTask(n *node, w *wctx) {
 		w.event(Event{Kind: EvDiscard, Seq: n.seq, Spec: n.specBorn, Ply: int32(n.ply)})
 		return
 	}
-	s.finish(n, v, w)
+	s.finish(n, v, v, w)
 }
 
 // serialTask searches the subtree under n with serial ER using a snapshot of
 // the node's window. Windows only narrow, so a snapshot is always a
 // superset of the live window and the result remains sound; searching with
 // the stale window is precisely the missed-cutoff speculative loss the paper
-// measures. With a transposition table attached the task probes before
-// searching — a stored bound narrows the window or answers the task outright
-// — and stores its fail-soft result after, so concurrent workers and later
-// searches of the same position reuse the subtree work. Lock held on entry
-// and exit.
+// measures. Lock held on entry and exit.
 func (s *state) serialTask(n *node, win game.Window, w *wctx) {
-	s.serialTasks.Add(1)
 	// A promoted e-child already carries a sound lower bound from its
 	// evaluated first child; raising alpha to it prunes the (partial)
 	// re-search of that subtree.
 	if n.value > win.Alpha {
 		win.Alpha = n.value
 	}
-	w.rt.Unlock()
-	v, answered := game.Value(0), false
-	key, hashed := s.ttKey(n.pos)
-	if hashed {
-		v, answered = s.ttProbe(key, n.depth, &win)
-	}
-	if !answered {
-		local := &game.Stats{}
-		searcher := s.serialSearcher(local, n.ply)
-		v = searcher.ER(n.pos, n.depth, win)
-		snap := local.Snapshot()
-		w.rt.FreeWork(s.taskCost(snap))
-		w.stats.Merge(snap)
-		if hashed {
-			s.ttStore(key, n.depth, win, v)
-		}
-	}
-	w.rt.Lock()
-	if answered {
-		w.event(Event{Kind: EvTTCutoff, Seq: n.seq, Spec: n.specBorn, Ply: int32(n.ply)})
-	}
-	if !n.alive() {
-		s.dropped.Add(1)
-		w.event(Event{Kind: EvDiscard, Seq: n.seq, Spec: n.specBorn, Ply: int32(n.ply)})
-		return
-	}
-	s.finish(n, v, w)
+	s.subtreeTask(n, win, false, w)
 }
 
 // examineTask performs one refutation step in one serial unit: the r-node
 // child n is searched with the r-child protocol (Eval_first + Refute_rest)
 // under a window snapshot taken at pop time, so each step of a sequential
-// refutation sees the freshest bounds. Like serialTask it is backed by the
-// optional transposition table. Lock held on entry and exit.
+// refutation sees the freshest bounds. Lock held on entry and exit.
 func (s *state) examineTask(n *node, win game.Window, w *wctx) {
+	s.subtreeTask(n, win, true, w)
+}
+
+// subtreeTask runs one serial work unit under win: the r-child protocol when
+// examine is set, the full ER protocol otherwise. With a transposition
+// table attached the task probes before searching — a stored bound narrows
+// the window or answers the task outright — and stores its fail-soft result
+// after, classified against the window it searched, so concurrent workers
+// and later searches of the same position reuse the subtree work. A table
+// answer stands for both of the node's values. Lock held on entry and exit;
+// released around the probe, the search and the store.
+func (s *state) subtreeTask(n *node, win game.Window, examine bool, w *wctx) {
 	s.serialTasks.Add(1)
 	w.rt.Unlock()
-	v, answered := game.Value(0), false
+	var fig8, soft game.Value
+	answered := false
 	key, hashed := s.ttKey(n.pos)
 	if hashed {
-		v, answered = s.ttProbe(key, n.depth, &win)
+		soft, answered = s.ttProbe(key, n.depth, &win)
+		fig8 = soft
 	}
 	if !answered {
 		local := &game.Stats{}
 		searcher := s.serialSearcher(local, n.ply)
-		v = searcher.Examine(n.pos, n.depth, win)
+		if examine {
+			fig8, soft = searcher.ExamineValues(n.pos, n.depth, win)
+		} else {
+			fig8, soft = searcher.ERValues(n.pos, n.depth, win)
+		}
 		snap := local.Snapshot()
 		w.rt.FreeWork(s.taskCost(snap))
 		w.stats.Merge(snap)
 		if hashed {
-			s.ttStore(key, n.depth, win, v)
+			s.ttStore(key, n.depth, win, soft)
 		}
 	}
 	w.rt.Lock()
@@ -207,7 +193,7 @@ func (s *state) examineTask(n *node, win game.Window, w *wctx) {
 		w.event(Event{Kind: EvDiscard, Seq: n.seq, Spec: n.specBorn, Ply: int32(n.ply)})
 		return
 	}
-	s.finish(n, v, w)
+	s.finish(n, fig8, soft, w)
 }
 
 // expandTask generates and orders n's child positions outside the lock.

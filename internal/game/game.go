@@ -67,6 +67,23 @@ func (w Window) Contains(v Value) bool { return w.Alpha < v && v < w.Beta }
 // Empty reports whether the window admits no strictly interior value.
 func (w Window) Empty() bool { return w.Alpha >= w.Beta }
 
+// FailSoft reports whether v is a correct fail-soft result of searching,
+// under w, a position whose exact value is exact: v equals exact when it
+// lies inside the window, is an upper bound (exact <= v <= Alpha) when it is
+// at or below Alpha, and a lower bound (Beta <= v <= exact) when it is at or
+// above Beta. It is the one contract every windowed search in this module
+// honors.
+func (w Window) FailSoft(v, exact Value) bool {
+	switch {
+	case v <= w.Alpha:
+		return exact <= v
+	case v >= w.Beta:
+		return v <= exact
+	default:
+		return v == exact
+	}
+}
+
 // Max returns the larger of a and b.
 func Max(a, b Value) Value {
 	if a > b {

@@ -36,6 +36,24 @@ func TestWindowPredicates(t *testing.T) {
 	}
 }
 
+func TestWindowFailSoft(t *testing.T) {
+	w := Window{Alpha: 0, Beta: 4}
+	for _, c := range []struct {
+		v, exact Value
+		want     bool
+	}{
+		{2, 2, true}, {2, 3, false}, // inside: exact only
+		{0, -5, true}, {-3, -5, true}, {-5, -5, true}, // at or below alpha: upper bound
+		{0, 1, false}, {-6, -5, false}, // below the true value
+		{4, 9, true}, {7, 9, true}, {9, 9, true}, // at or above beta: lower bound
+		{4, 3, false}, {10, 9, false}, // above the true value
+	} {
+		if got := w.FailSoft(c.v, c.exact); got != c.want {
+			t.Errorf("(%d,%d).FailSoft(%d, exact %d) = %v, want %v", w.Alpha, w.Beta, c.v, c.exact, got, c.want)
+		}
+	}
+}
+
 // Property: Child is antitone — double negation restores ordering, and the
 // child window of a narrower parent window is narrower.
 func TestWindowChildMonotoneQuick(t *testing.T) {

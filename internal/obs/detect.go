@@ -53,7 +53,7 @@ func DefaultDetectors() []Detector {
 	return []Detector{
 		&ShedSpike{MinSheds: 5, MinRate: 1},
 		&ProbeStorm{MaxPerIteration: 24, MinIterations: 4},
-		&TTThrash{MinGenerations: 4, MinHitDrop: 0.10, MinProbes: 256},
+		&TTThrash{MinSessions: 4, MinHitDrop: 0.10, MinProbes: 256},
 		&StealStarvation{MinAttempts: 128, MinFailRatio: 0.9},
 		&Stall{},
 	}
@@ -125,15 +125,18 @@ func (d *ProbeStorm) Check(v *View) []Anomaly {
 }
 
 // TTThrash fires on generation churn with a falling hit rate: the table aged
-// MinGenerations times inside the window while the hit rate of the window's
+// MinSessions times inside the window while the hit rate of the window's
 // newer half dropped MinHitDrop below the older half's. Aging alone is
-// healthy (one tick per admitted session); aging while hits collapse means
-// the working set no longer fits and replacement is evicting entries the
-// searches still need.
+// healthy; aging while hits collapse means the working set no longer fits
+// and replacement is evicting entries the searches still need. Aging ticks
+// are counted as admitted sessions, not read off the tables' generations:
+// each admitted session of a table-backed engine ages its table exactly once,
+// and the session count is monotone where a table's uint8 generation wraps
+// every 256 sessions.
 type TTThrash struct {
-	MinGenerations int64   // aging ticks inside the window
-	MinHitDrop     float64 // newer-half hit rate below older-half by this much
-	MinProbes      int64   // probes per half before the rates mean anything
+	MinSessions int64   // admitted sessions (aging ticks) inside the window
+	MinHitDrop  float64 // newer-half hit rate below older-half by this much
+	MinProbes   int64   // probes per half before the rates mean anything
 }
 
 func (d *TTThrash) Name() string { return KindTTThrash }
@@ -142,8 +145,8 @@ func (d *TTThrash) Check(v *View) []Anomaly {
 	if v.Samples < 3 {
 		return nil
 	}
-	gens := v.Newest.TTGenerations - v.Oldest.TTGenerations
-	if gens < d.MinGenerations {
+	gens := v.Newest.Sessions - v.Oldest.Sessions
+	if gens < d.MinSessions {
 		return nil
 	}
 	oldProbes := v.Mid.TTProbes - v.Oldest.TTProbes

@@ -184,13 +184,30 @@ func TestProbeStormFires(t *testing.T) {
 func TestTTThrashFires(t *testing.T) {
 	m := newTestMonitor(t, Config{Window: 4 * time.Second})
 	base := time.Now()
-	// Older half: 90% hit rate. Newer half: 30%, with 8 aging ticks.
+	// Older half: 90% hit rate. Newer half: 30%, with 8 admitted sessions
+	// (one aging tick each).
 	tick(m, base, Sample{})
-	tick(m, base.Add(2*time.Second), Sample{TTProbes: 1000, TTHits: 900, TTGenerations: 4})
-	tick(m, base.Add(4*time.Second), Sample{TTProbes: 2000, TTHits: 1200, TTGenerations: 8})
+	tick(m, base.Add(2*time.Second), Sample{Sessions: 4, TTProbes: 1000, TTHits: 900, TTGenerations: 4})
+	tick(m, base.Add(4*time.Second), Sample{Sessions: 8, TTProbes: 2000, TTHits: 1200, TTGenerations: 8})
 	r := m.Report()
 	if r.Totals[KindTTThrash] != 1 {
 		t.Fatalf("totals = %v, want one %s", r.Totals, KindTTThrash)
+	}
+}
+
+// TestTTThrashFiresAcrossGenerationWrap: a table's generation is a uint8, so
+// the summed generations drop by 255 when a game's table wraps at its 256th
+// session. The detector counts aging by sessions and must still fire on a
+// window that spans the wrap while the hit rate collapses.
+func TestTTThrashFiresAcrossGenerationWrap(t *testing.T) {
+	m := newTestMonitor(t, Config{Window: 4 * time.Second})
+	base := time.Now()
+	tick(m, base, Sample{Sessions: 250, TTProbes: 50000, TTHits: 40000, TTGenerations: 250})
+	tick(m, base.Add(2*time.Second), Sample{Sessions: 254, TTProbes: 51000, TTHits: 40900, TTGenerations: 254})
+	tick(m, base.Add(4*time.Second), Sample{Sessions: 258, TTProbes: 52000, TTHits: 41200, TTGenerations: 2})
+	r := m.Report()
+	if r.Totals[KindTTThrash] != 1 {
+		t.Fatalf("totals = %v, want one %s across the generation wrap", r.Totals, KindTTThrash)
 	}
 }
 

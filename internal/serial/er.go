@@ -12,26 +12,62 @@ import (
 // node's first child completely), and Refute_rest (examine the remaining
 // children in order, trying to refute the node).
 //
-// One deviation from the printed pseudocode, documented here because it is
-// load-bearing: Figure 8's Refute_rest begins with "value := α", which
-// discards the tentative value the node obtained from its first child in
-// Eval_first. Taken literally that loses the first child's contribution and
-// can return a value below the node's true value even inside the window,
-// corrupting ancestors (the paper's §5 prose — "the refutation is said to
-// have failed and E's value is increased to -R" — requires R's value to
-// include all children). We therefore retain the tentative value and only
-// raise it to α: value := max(value, α). With this reading ER is alpha-beta
-// with a different visit order and is exact at the root, which the property
-// tests verify against negmax.
+// Two deviations from the printed pseudocode, documented here because they
+// are load-bearing.
+//
+// First, Figure 8's Refute_rest begins with "value := α", which discards the
+// tentative value the node obtained from its first child in Eval_first.
+// Taken literally that loses the first child's contribution and can return a
+// value below the node's true value even inside the window, corrupting
+// ancestors (the paper's §5 prose — "the refutation is said to have failed
+// and E's value is increased to -R" — requires R's value to include all
+// children). We therefore retain the tentative value and only raise it to
+// α: value := max(value, α). With this reading ER is alpha-beta with a
+// different visit order and is exact at the root, which the property tests
+// verify against negmax.
+//
+// Second, the search is fail-soft (Fishburn's rule). Figure 8 starts every
+// node at value := α, so a node that fails low returns exactly α and its
+// parent fails high at exactly β: the bound says nothing beyond the window
+// edge, and a driver that steers by bounds (MTD(f), aspiration re-searches,
+// the transposition table) learns one unit per search. Each node therefore
+// carries two values, computed in the same pass. Figure 8's value starts at
+// α and is raised from each child's Figure 8 value; it alone steers the
+// search — child windows, cutoffs and the tentative-value sort — so the
+// searched tree is exactly Figure 8's. The fail-soft value starts at -Inf
+// and is raised from each child's fail-soft value; it is what the search
+// returns. Both agree once clamped to the node's window, so a fail-soft
+// value inside the window is exact, one at or below α is an upper bound and
+// one at or above β a lower bound, each as tight as the searched tree
+// proves. Raising Figure 8's value from the children's fail-soft values
+// would also be sound, but a fail-low child's bound can lift its parent
+// above what Figure 8 computes, which narrows later windows and so changes
+// the tree the paper measures.
 
-// erNode carries the per-node state of Figure 8's node record.
+// erNode carries the per-node state of Figure 8's node record, plus the
+// fail-soft value (see the comment at the top of this file). Depth and ply
+// are 32-bit so that the record, with its second value, still fits in 64
+// bytes: the expansion slabs, and the records the tentative-value sort
+// moves, keep their size.
 type erNode struct {
 	pos   game.Position
-	depth int // remaining search depth
-	ply   int
-	value game.Value
+	depth int32 // remaining search depth
+	ply   int32
+	value game.Value // Figure 8's value: steers windows, cutoffs and the sort
+	soft  game.Value // fail-soft value: what the search returns
 	done  bool
 	kids  []erNode // nil until expanded
+}
+
+// raise folds the finished child k into p: each of p's values is raised
+// from the negation of the same value of k.
+func (p *erNode) raise(k *erNode) {
+	if -k.value > p.value {
+		p.value = -k.value
+	}
+	if -k.soft > p.soft {
+		p.soft = -k.soft
+	}
 }
 
 // expandER generates the children of n once, as one slab: callers address a
@@ -46,8 +82,9 @@ func (s *Searcher) expandER(n *erNode, sortChildren bool) []erNode {
 	kids := n.pos.Children()
 	if len(kids) > 1 && sortChildren {
 		o := s.orderer()
-		s.Stats.AddSortEvals(int64(o.Cost(len(kids), s.BasePly+n.ply)))
-		kids = o.Order(kids, s.BasePly+n.ply)
+		ply := s.BasePly + int(n.ply)
+		s.Stats.AddSortEvals(int64(o.Cost(len(kids), ply)))
+		kids = o.Order(kids, ply)
 	}
 	s.Stats.AddGenerated(int64(len(kids)))
 	n.kids = make([]erNode, len(kids))
@@ -57,36 +94,52 @@ func (s *Searcher) expandER(n *erNode, sortChildren bool) []erNode {
 	return n.kids
 }
 
-// ER evaluates pos to the given depth with window w using serial ER.
-// With the full window the result equals Negmax.
+// evalLeaf finishes a node without children (or at the horizon): both of its
+// values are the static value.
+func (s *Searcher) evalLeaf(p *erNode) {
+	p.done = true
+	p.value = s.leaf(p.pos, int(p.ply))
+	p.soft = p.value
+}
+
+// ER evaluates pos to the given depth with window w using serial ER and
+// returns the fail-soft value: exact inside w, an upper bound at or below
+// w.Alpha, a lower bound at or above w.Beta. With the full window the result
+// equals Negmax.
 func (s *Searcher) ER(pos game.Position, depth int, w game.Window) game.Value {
+	_, soft := s.ERValues(pos, depth, w)
+	return soft
+}
+
+// ERValues is ER returning both of the root's values: Figure 8's value,
+// which steers a parallel search's windows and orderings above this one,
+// and the fail-soft value, which bounds the position.
+func (s *Searcher) ERValues(pos game.Position, depth int, w game.Window) (fig8, soft game.Value) {
 	s.Stats.AddGenerated(1)
-	root := &erNode{pos: pos, depth: depth}
-	return s.er(root, w.Alpha, w.Beta)
+	root := &erNode{pos: pos, depth: int32(depth)}
+	s.er(root, w.Alpha, w.Beta)
+	return root.value, root.soft
 }
 
 // er is function ER of Figure 8: the e-node protocol. It evaluates the elder
 // grandchildren (via Eval_first on every child), sorts the children by their
 // tentative values, then refutes the remaining children in that order.
-func (s *Searcher) er(p *erNode, alpha, beta game.Value) game.Value {
-	p.value = alpha
+func (s *Searcher) er(p *erNode, alpha, beta game.Value) {
+	p.value, p.soft = alpha, -game.Inf
 	kids := s.expandER(p, false)
 	if len(kids) == 0 {
-		p.done = true
-		p.value = s.leaf(p.pos, p.ply)
-		return p.value
+		s.evalLeaf(p)
+		return
 	}
 	for i := range kids {
 		k := &kids[i]
-		t := -s.evalFirst(k, -beta, -p.value)
+		s.evalFirst(k, -beta, -p.value)
 		if k.done {
-			if t > p.value {
-				p.value = t
-			}
+			p.raise(k)
 			if p.value >= beta {
 				s.Stats.AddCutoffs(1)
 				p.done = true
-				return p.value
+				return
 			}
 		}
 	}
@@ -98,125 +151,78 @@ func (s *Searcher) er(p *erNode, alpha, beta game.Value) game.Value {
 		if k.done {
 			continue
 		}
-		t := -s.refuteRest(k, -beta, -p.value)
-		if t > p.value {
-			p.value = t
-		}
+		s.refuteRest(k, -beta, -p.value)
+		p.raise(k)
 		if p.value >= beta {
 			s.Stats.AddCutoffs(1)
 			p.done = true
-			return p.value
+			return
 		}
 	}
 	p.done = true
-	return p.value
 }
 
 // evalFirst is function Eval_first of Figure 8: completely evaluate P's
 // first child (an e-node), giving P a tentative value. P is done if it is a
 // leaf, if the tentative value already refutes it, or if it has one child.
-func (s *Searcher) evalFirst(p *erNode, alpha, beta game.Value) game.Value {
-	p.value = alpha
+func (s *Searcher) evalFirst(p *erNode, alpha, beta game.Value) {
+	p.value, p.soft = alpha, -game.Inf
 	kids := s.expandER(p, true)
 	if len(kids) == 0 {
-		p.done = true
-		p.value = s.leaf(p.pos, p.ply)
-		return p.value
+		s.evalLeaf(p)
+		return
 	}
-	t := -s.er(&kids[0], -beta, -p.value)
-	if t > p.value {
-		p.value = t
-	}
+	s.er(&kids[0], -beta, -p.value)
+	p.raise(&kids[0])
 	p.done = p.value >= beta || len(kids) == 1
 	if p.value >= beta {
 		s.Stats.AddCutoffs(1)
 	}
-	return p.value
-}
-
-// Refute attempts to refute pos within window w: its children are examined
-// in order by the r-node protocol (Eval_first followed by Refute_rest, §5),
-// stopping as soon as the node's value reaches w.Beta. The first `skip`
-// children are assumed already examined, with their contribution included in
-// `tentative` (a sound lower bound). This is the serial work unit for
-// r-nodes at the parallel search's serial frontier.
-func (s *Searcher) Refute(pos game.Position, depth int, w game.Window, skip int, tentative game.Value) game.Value {
-	p := &erNode{pos: pos, depth: depth}
-	p.value = game.Max(w.Alpha, tentative)
-	if depth == 0 {
-		return s.leaf(pos, 0)
-	}
-	kids := s.expandER(p, true)
-	if len(kids) == 0 {
-		return s.leaf(pos, 0)
-	}
-	if skip > len(kids) {
-		skip = len(kids)
-	}
-	beta := w.Beta
-	for i := skip; i < len(kids); i++ {
-		k := &kids[i]
-		var t game.Value
-		if i == 0 {
-			// An r-node's first child is an e-node (Table 1): it is
-			// evaluated completely by the full ER protocol.
-			t = -s.er(k, -beta, -p.value)
-		} else {
-			t = -s.evalFirst(k, -beta, -p.value)
-			if !k.done {
-				t = -s.refuteRest(k, -beta, -p.value)
-			}
-		}
-		if t > p.value {
-			p.value = t
-		}
-		if p.value >= beta {
-			s.Stats.AddCutoffs(1)
-			return p.value
-		}
-	}
-	return p.value
 }
 
 // Examine evaluates pos within w using the protocol Figure 8 applies to a
 // child of an r-node: Eval_first (the node's first child is an e-node,
 // evaluated completely) followed, if that does not settle the node, by
-// Refute_rest over its remaining children. This is the serial work unit for
-// one refutation step at the parallel search's serial frontier.
+// Refute_rest over its remaining children, and returns the fail-soft value.
 func (s *Searcher) Examine(pos game.Position, depth int, w game.Window) game.Value {
-	p := &erNode{pos: pos, depth: depth}
-	v := s.evalFirst(p, w.Alpha, w.Beta)
+	_, soft := s.ExamineValues(pos, depth, w)
+	return soft
+}
+
+// ExamineValues is Examine returning both of the root's values, as ERValues
+// does. It is the serial work unit for one refutation step at the parallel
+// search's serial frontier.
+func (s *Searcher) ExamineValues(pos game.Position, depth int, w game.Window) (fig8, soft game.Value) {
+	p := &erNode{pos: pos, depth: int32(depth)}
+	s.evalFirst(p, w.Alpha, w.Beta)
 	if !p.done {
-		v = s.refuteRest(p, w.Alpha, w.Beta)
+		s.refuteRest(p, w.Alpha, w.Beta)
 	}
-	return v
+	return p.value, p.soft
 }
 
 // refuteRest is function Refute_rest of Figure 8: examine P's remaining
 // children (the first was handled by Eval_first) in order, attempting to
 // refute P. Each child is examined by Eval_first followed, if the child is
 // not yet done, by Refute_rest — the r-node protocol.
-func (s *Searcher) refuteRest(p *erNode, alpha, beta game.Value) game.Value {
+func (s *Searcher) refuteRest(p *erNode, alpha, beta game.Value) {
 	s.Stats.AddRefutations(1)
 	if alpha > p.value {
 		p.value = alpha // see the package comment: retain the tentative value
 	}
 	for i := 1; i < len(p.kids); i++ {
 		k := &p.kids[i]
-		t := -s.evalFirst(k, -beta, -p.value)
+		s.evalFirst(k, -beta, -p.value)
 		if !k.done {
-			t = -s.refuteRest(k, -beta, -p.value)
+			s.refuteRest(k, -beta, -p.value)
 		}
-		if t > p.value {
-			p.value = t
-		}
+		p.raise(k)
 		if p.value >= beta {
 			s.Stats.AddCutoffs(1)
 			p.done = true
-			return p.value
+			return
 		}
 	}
 	p.done = true
 	s.Stats.AddRefuteFails(1)
-	return p.value
 }

@@ -40,20 +40,9 @@ func TestPVSWindowedContract(t *testing.T) {
 		a := game.Value(rng.Intn(61) - 30)
 		b := a + game.Value(rng.Intn(20)+1)
 		var s Searcher
-		got := s.PVS(root, h, game.Window{Alpha: a, Beta: b})
-		switch {
-		case exact <= a:
-			if got > a {
-				t.Fatalf("fail-low violated: exact %d window (%d,%d) got %d", exact, a, b, got)
-			}
-		case exact >= b:
-			if got < b || got > exact {
-				t.Fatalf("fail-high violated: exact %d window (%d,%d) got %d", exact, a, b, got)
-			}
-		default:
-			if got != exact {
-				t.Fatalf("interior mismatch: exact %d window (%d,%d) got %d", exact, a, b, got)
-			}
+		w := game.Window{Alpha: a, Beta: b}
+		if got := s.PVS(root, h, w); !w.FailSoft(got, exact) {
+			t.Fatalf("exact %d window (%d,%d) got %d", exact, a, b, got)
 		}
 	}
 }

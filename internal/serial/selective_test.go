@@ -73,51 +73,9 @@ func TestExamineAgreesWithWindowedSearch(t *testing.T) {
 		a := game.Value(rng.Intn(61) - 30)
 		b := a + game.Value(rng.Intn(20)+1)
 		var s Searcher
-		got := s.Examine(root, h, game.Window{Alpha: a, Beta: b})
-		switch {
-		case exact <= a:
-			if got > a {
-				t.Fatalf("tree %d: fail-low violated: exact %d window (%d,%d) got %d", i, exact, a, b, got)
-			}
-		case exact >= b:
-			if got < b || got > exact {
-				t.Fatalf("tree %d: fail-high violated: exact %d window (%d,%d) got %d", i, exact, a, b, got)
-			}
-		default:
-			if got != exact {
-				t.Fatalf("tree %d: interior mismatch: exact %d window (%d,%d) got %d", i, exact, a, b, got)
-			}
-		}
-	}
-}
-
-func TestRefuteAgreesWithWindowedSearch(t *testing.T) {
-	// Refute with skip=0 and no tentative must satisfy the same windowed
-	// contract as Examine.
-	rng := rand.New(rand.NewSource(72))
-	spec := gtree.RandomSpec{MinDegree: 2, MaxDegree: 3, MinDepth: 2, MaxDepth: 4, ValueRange: 25}
-	for i := 0; i < 120; i++ {
-		root := spec.Generate(rng)
-		h := root.Height()
-		var o Searcher
-		exact := o.Negmax(root, h)
-		a := game.Value(rng.Intn(51) - 25)
-		b := a + game.Value(rng.Intn(15)+1)
-		var s Searcher
-		got := s.Refute(root, h, game.Window{Alpha: a, Beta: b}, 0, -game.Inf)
-		switch {
-		case exact <= a:
-			if got > a {
-				t.Fatalf("tree %d: fail-low violated: exact %d window (%d,%d) got %d", i, exact, a, b, got)
-			}
-		case exact >= b:
-			if got < b || got > exact {
-				t.Fatalf("tree %d: fail-high violated: exact %d window (%d,%d) got %d", i, exact, a, b, got)
-			}
-		default:
-			if got != exact {
-				t.Fatalf("tree %d: interior mismatch: exact %d window (%d,%d) got %d", i, exact, a, b, got)
-			}
+		w := game.Window{Alpha: a, Beta: b}
+		if got := s.Examine(root, h, w); !w.FailSoft(got, exact) {
+			t.Fatalf("tree %d: exact %d window (%d,%d) got %d", i, exact, a, b, got)
 		}
 	}
 }

@@ -149,9 +149,9 @@ func TestAlgorithmsAgreeWithStaticOrder(t *testing.T) {
 	}
 }
 
-// TestFailSoftBounds verifies the fail-soft contract of AlphaBeta: searched
-// with an arbitrary window, the result is exact inside the window, an upper
-// bound when it fails low, and a lower bound when it fails high.
+// TestFailSoftBounds verifies the fail-soft contract of AlphaBeta and ER:
+// searched with an arbitrary window, the result is exact inside the window,
+// an upper bound when it fails low, and a lower bound when it fails high.
 func TestFailSoftBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	spec := gtree.RandomSpec{MinDegree: 1, MaxDegree: 4, MinDepth: 2, MaxDepth: 4, ValueRange: 30}
@@ -167,33 +167,13 @@ func TestFailSoftBounds(t *testing.T) {
 		if a == b {
 			b++
 		}
+		w := game.Window{Alpha: a, Beta: b}
 		var s Searcher
-		got := s.AlphaBeta(root, h, game.Window{Alpha: a, Beta: b})
-		switch {
-		case exact <= a:
-			if got > a && got != exact {
-				t.Fatalf("fail-low: window (%d,%d) exact %d got %d", a, b, exact, got)
-			}
-			if got < exact && got > a {
-				t.Fatalf("fail-low bound violated")
-			}
-			if got > a {
-				t.Fatalf("expected got<=a, got %d > %d", got, a)
-			}
-			if exact > got {
-				t.Fatalf("fail-low: got %d must be >= exact %d is false? exact<=a<...", got, exact)
-			}
-		case exact >= b:
-			if got < b {
-				t.Fatalf("fail-high: window (%d,%d) exact %d got %d (want >= beta)", a, b, exact, got)
-			}
-			if got > exact {
-				t.Fatalf("fail-high: got %d exceeds exact %d", got, exact)
-			}
-		default:
-			if got != exact {
-				t.Fatalf("interior: window (%d,%d) exact %d got %d", a, b, exact, got)
-			}
+		if got := s.AlphaBeta(root, h, w); !w.FailSoft(got, exact) {
+			t.Fatalf("AlphaBeta: window (%d,%d) exact %d got %d", a, b, exact, got)
+		}
+		if got := s.ER(root, h, w); !w.FailSoft(got, exact) {
+			t.Fatalf("ER: window (%d,%d) exact %d got %d", a, b, exact, got)
 		}
 	}
 }

@@ -89,20 +89,9 @@ func TestTTSearchWindowed(t *testing.T) {
 		a := game.Value(rng.Intn(201) - 100)
 		bb := a + game.Value(rng.Intn(100)+1)
 		table := tt.New(12)
-		got := s.AlphaBetaTT(b, depth, game.Window{Alpha: a, Beta: bb}, table)
-		switch {
-		case exact <= a:
-			if got > a {
-				t.Fatalf("fail-low violated: exact %d window (%d,%d) got %d", exact, a, bb, got)
-			}
-		case exact >= bb:
-			if got < bb || got > exact {
-				t.Fatalf("fail-high violated: exact %d window (%d,%d) got %d", exact, a, bb, got)
-			}
-		default:
-			if got != exact {
-				t.Fatalf("interior mismatch: exact %d window (%d,%d) got %d", exact, a, bb, got)
-			}
+		w := game.Window{Alpha: a, Beta: bb}
+		if got := s.AlphaBetaTT(b, depth, w, table); !w.FailSoft(got, exact) {
+			t.Fatalf("exact %d window (%d,%d) got %d", exact, a, bb, got)
 		}
 	}
 }
