@@ -24,6 +24,21 @@ var (
 // trees in this package already do.
 type Position = game.Position
 
+// Expander is the optional interface a Position implements so serial ER
+// generates its children without allocating: AppendChildren writes them,
+// in Children's order, as pointers to boards taken from the searcher's Slab
+// with Alloc. Such a child is valid only while the search holds it; see
+// game.Expander for the rule. Positions without it are expanded through
+// Children.
+type Expander = game.Expander
+
+// Slab is the searcher-owned storage an Expander writes child boards into.
+type Slab = game.Slab
+
+// Alloc returns storage for k boards of type T from s, for an Expander to
+// fill.
+func Alloc[T any](s *Slab, k int) []T { return game.Alloc[T](s, k) }
+
 // Value is a position score in the negamax convention: always from the
 // point of view of the player to move, bounded by (-Inf, Inf).
 type Value = game.Value

@@ -32,7 +32,10 @@ type Board struct {
 	blackToMove bool
 }
 
-var _ game.Position = Board{}
+var (
+	_ game.Position = Board{}
+	_ game.Expander = Board{}
+)
 
 // square coordinates: square s occupies row r = s/4 (0 = bottom) and column
 // c = 2*(s%4) + ((r+1)&1)  (dark squares).
@@ -243,43 +246,112 @@ func (b Board) Moves() []Move {
 // Apply plays a move (assumed legal, as produced by Moves) and returns the
 // position from the opponent's perspective.
 func (b Board) Apply(mv Move) Board {
-	from := mv.Path[0]
-	to := mv.Path[len(mv.Path)-1]
+	var caps uint32
+	for _, c := range mv.Captures {
+		caps |= 1 << uint(c)
+	}
+	return b.play(mv.Path[0], mv.Path[len(mv.Path)-1], caps)
+}
+
+// play moves the piece on square from to square to, removes the opponent
+// pieces on the squares in caps, and returns the position from the
+// opponent's perspective. A man that ends on the back rank is promoted.
+func (b Board) play(from, to int, caps uint32) Board {
 	fromBit := uint32(1) << uint(from)
 	toBit := uint32(1) << uint(to)
-	isKing := b.ownKings&fromBit != 0
-
 	ownMen, ownKings := b.ownMen, b.ownKings
-	if isKing {
+	switch {
+	case b.ownKings&fromBit != 0:
 		ownKings = (ownKings &^ fromBit) | toBit
-	} else if b.isBackRank(to) {
+	case b.isBackRank(to):
 		ownMen &^= fromBit
 		ownKings |= toBit // promotion
-	} else {
+	default:
 		ownMen = (ownMen &^ fromBit) | toBit
 	}
-	oppMen, oppKings := b.oppMen, b.oppKings
-	for _, c := range mv.Captures {
-		cb := uint32(1) << uint(c)
-		oppMen &^= cb
-		oppKings &^= cb
-	}
 	return Board{
-		ownMen: oppMen, ownKings: oppKings,
+		ownMen: b.oppMen &^ caps, ownKings: b.oppKings &^ caps,
 		oppMen: ownMen, oppKings: ownKings,
 		blackToMove: !b.blackToMove,
 	}
 }
 
-// Children implements game.Position.
+// Children implements game.Position: the positions after each move, in the
+// order Moves returns them, or nil when the side to move has lost.
 func (b Board) Children() []game.Position {
-	moves := b.Moves()
-	if len(moves) == 0 {
-		return nil // side to move has lost
+	var buf [childBuf]Board
+	return game.Boxed(b.appendChildren(buf[:0]))
+}
+
+// AppendChildren implements game.Expander: the children Children returns,
+// stored in slab.
+func (b Board) AppendChildren(dst []game.Position, slab *game.Slab) []game.Position {
+	var buf [childBuf]Board
+	return game.AppendStored(dst, slab, b.appendChildren(buf[:0]))
+}
+
+// childBuf is how many children are generated on the stack, above the
+// move count of ordinary positions; a position with more spills to the
+// heap.
+const childBuf = 32
+
+// appendChildren appends to out the position after each move, in the order
+// Moves returns the moves, straight from the bitboards: the move rules
+// Children and AppendChildren share. Captures are forced.
+func (b Board) appendChildren(out []Board) []Board {
+	own := b.ownMen | b.ownKings
+	n := len(out)
+	for m := own; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros32(m)
+		out = b.appendJumps(out, s, s, 0)
 	}
-	out := make([]game.Position, len(moves))
-	for i, mv := range moves {
-		out[i] = b.Apply(mv)
+	if len(out) > n {
+		return out
+	}
+	occ := b.occupied()
+	for m := own; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros32(m)
+		for _, d := range b.pieceDirs(s) {
+			to := neighbor(s, d[0], d[1])
+			if to < 0 || occ&(1<<uint(to)) != 0 {
+				continue
+			}
+			out = append(out, b.play(s, to, 0))
+		}
+	}
+	return out
+}
+
+// appendJumps appends the position after every complete jump sequence that
+// the piece which started on square from continues from square s, having
+// captured the pieces in caps: jumpsFrom's walk, carrying the landing square
+// and the captured mask instead of a Move.
+func (b Board) appendJumps(out []Board, from, s int, caps uint32) []Board {
+	found := false
+	opp := (b.oppMen | b.oppKings) &^ caps
+	occ := b.occupied()
+	for _, d := range b.pieceDirs(from) {
+		over := neighbor(s, d[0], d[1])
+		land := neighbor(s, 2*d[0], 2*d[1])
+		if over < 0 || land < 0 {
+			continue
+		}
+		overBit := uint32(1) << uint(over)
+		if opp&overBit == 0 {
+			continue
+		}
+		if occ&(1<<uint(land)) != 0 && land != from {
+			continue // landing square occupied (the start square is vacated)
+		}
+		found = true
+		if b.isBackRank(land) && b.ownKings&(1<<uint(from)) == 0 {
+			out = append(out, b.play(from, land, caps|overBit)) // promotion ends the move
+			continue
+		}
+		out = b.appendJumps(out, from, land, caps|overBit)
+	}
+	if !found && caps != 0 {
+		out = append(out, b.play(from, s, caps))
 	}
 	return out
 }

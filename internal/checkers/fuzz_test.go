@@ -3,6 +3,8 @@ package checkers
 import (
 	"bytes"
 	"testing"
+
+	"ertree/internal/game"
 )
 
 // FuzzGamePlay drives random checkers games and verifies the rules
@@ -13,23 +15,34 @@ import (
 // Games rarely reach a position without moves, so the scan is also checked
 // on each piece of either side left alone on the board with every opposing
 // piece: a lone piece is often blocked, and its one answer rests on its own
-// steps and captures.
+// steps and captures. Children, generated straight from the bitboards, must
+// be Apply over Moves, duplicates from two jump paths included, and the
+// children the expander writes into a slab must be Children's: the same
+// count, order, boards, hashes and values.
 func FuzzGamePlay(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5})
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{3, 1, 4, 1, 5, 9, 2, 6}, 25)) // a whole game: kings, multi-jumps, no move left
 	f.Add([]byte("000100000$000010220"))                    // ply 19: a lone White man on the left edge, blocked
+	// Ply 7: one man has two double-jump paths.
+	f.Add([]byte{0xad, 0xd4, 0xb2, 0xd7, 0x64, 0x1a, 0x62, 0x00})
+	// Ply 6: a jump ends on the back rank and promotes.
+	f.Add([]byte{0xf4, 0x34, 0x19, 0x2f, 0xa5, 0x4f, 0x50})
+	// Ply 11: two jump paths give the same board.
+	f.Add([]byte{0x4b, 0xeb, 0x31, 0xd7, 0xd6, 0x61, 0x7a, 0x22, 0x79, 0xff, 0x20, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkTerminal := func(ply int, b Board) {
 			if n := len(b.Moves()); b.Terminal() != (n == 0) {
 				t.Fatalf("ply %d: Terminal() = %v with %d moves\n%s", ply, b.Terminal(), n, b)
 			}
 		}
+		var slab game.Slab
 		b := Start()
 		for ply := 0; ; ply++ {
 			moves := b.Moves()
 			checkTerminal(ply, b)
+			checkChildren(t, ply, b, moves, &slab)
 			swapped := Board{
 				ownMen: b.oppMen, ownKings: b.oppKings,
 				oppMen: b.ownMen, oppKings: b.ownKings,
@@ -68,4 +81,26 @@ func FuzzGamePlay(f *testing.F) {
 			b = nb
 		}
 	})
+}
+
+// checkChildren compares b's children with Apply over moves, and the
+// children written into slab with Children's, then releases them.
+func checkChildren(t *testing.T, ply int, b Board, moves []Move, slab *game.Slab) {
+	t.Helper()
+	m := slab.Mark()
+	defer slab.Release(m)
+	want := b.Children()
+	got := b.AppendChildren(nil, slab)
+	if len(want) != len(moves) || len(got) != len(moves) {
+		t.Fatalf("ply %d: %d moves, Children %d, expander %d\n%s", ply, len(moves), len(want), len(got), b)
+	}
+	for i, mv := range moves {
+		a, w, g := b.Apply(mv), want[i].(Board), got[i].(*Board)
+		if w != a {
+			t.Fatalf("ply %d: child %d is %+v, Apply(%v) is %+v\n%s", ply, i, w, mv, a, b)
+		}
+		if *g != w || g.Hash() != w.Hash() || got[i].Value() != w.Value() {
+			t.Fatalf("ply %d: child %d: expander %+v, Children %+v\n%s", ply, i, *g, w, b)
+		}
+	}
 }

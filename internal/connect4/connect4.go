@@ -43,7 +43,10 @@ type Board struct {
 	ply int    // stones played
 }
 
-var _ game.Position = Board{}
+var (
+	_ game.Position = Board{}
+	_ game.Expander = Board{}
+)
 
 // New returns the empty board (first player to move).
 func New() Board { return Board{} }
@@ -110,10 +113,23 @@ func (b Board) MustDrop(cols ...int) Board {
 // Children implements game.Position: one child per non-full column,
 // center-out, or nil when the game is over.
 func (b Board) Children() []game.Position {
+	var buf [Cols]Board
+	return game.Boxed(b.appendChildren(buf[:0]))
+}
+
+// AppendChildren implements game.Expander: the children Children returns,
+// stored in slab.
+func (b Board) AppendChildren(dst []game.Position, slab *game.Slab) []game.Position {
+	var buf [Cols]Board
+	return game.AppendStored(dst, slab, b.appendChildren(buf[:0]))
+}
+
+// appendChildren appends the position's children to out: the move rules
+// Children and AppendChildren share.
+func (b Board) appendChildren(out []Board) []Board {
 	if b.Terminal() {
-		return nil
+		return out
 	}
-	out := make([]game.Position, 0, Cols)
 	for _, c := range moveOrder {
 		if nb, ok := b.Drop(c); ok {
 			out = append(out, nb)

@@ -49,6 +49,9 @@ type state struct {
 type wctx struct {
 	rt    Runtime
 	stats *game.Stats
+	// task counts the serial task in progress, so its cost can be charged
+	// before it is merged into stats; reused by every task of the worker.
+	task game.Stats
 
 	// shard is the worker's home shard of the sharded heap (stealworker.go);
 	// always 0 on the simulator and the global-heap runtime. rng drives the
@@ -545,9 +548,9 @@ func (s *state) launchNextRefuter(E *node, w *wctx) {
 }
 
 // serialSearcher builds the serial ER searcher for a subtree task rooted at
-// ply basePly, accumulating into task-local stats.
-func (s *state) serialSearcher(local *game.Stats, basePly int) serial.Searcher {
-	return serial.Searcher{Order: s.opt.Order, Stats: local, BasePly: basePly}
+// ply basePly, accumulating into the task's stats.
+func (s *state) serialSearcher(task *game.Stats, basePly int) serial.Searcher {
+	return serial.Searcher{Order: s.opt.Order, Stats: task, BasePly: basePly}
 }
 
 // taskCost converts a serial task's statistics into virtual time.

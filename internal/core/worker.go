@@ -170,14 +170,14 @@ func (s *state) subtreeTask(n *node, win game.Window, examine bool, w *wctx) {
 		fig8 = soft
 	}
 	if !answered {
-		local := &game.Stats{}
-		searcher := s.serialSearcher(local, n.ply)
+		w.task = game.Stats{}
+		searcher := s.serialSearcher(&w.task, n.ply)
 		if examine {
 			fig8, soft = searcher.ExamineValues(n.pos, n.depth, win)
 		} else {
 			fig8, soft = searcher.ERValues(n.pos, n.depth, win)
 		}
-		snap := local.Snapshot()
+		snap := w.task.Snapshot()
 		w.rt.FreeWork(s.taskCost(snap))
 		w.stats.Merge(snap)
 		if hashed {

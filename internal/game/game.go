@@ -30,6 +30,11 @@ const (
 // called from multiple goroutines simultaneously, so they must either be
 // read-only or internally synchronized. All implementations in this module
 // are immutable values.
+//
+// A Position may also implement Expander, which writes its children into
+// storage the caller owns. Such a child is valid only until the caller
+// releases that storage (see Expander); the children Children returns have
+// no such limit.
 type Position interface {
 	// Children returns the successor positions, one per legal move. A
 	// position with no children is terminal. The order of the returned

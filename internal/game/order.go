@@ -49,7 +49,9 @@ type StaticOrder struct {
 	MaxPly int
 }
 
-// Order sorts children ascending by static value when ply < MaxPly.
+// Order sorts children ascending by static value when ply < MaxPly. The
+// sort is stable and permutes children in place; the keys live on the stack
+// for up to orderKeys children, so ordinary expansions allocate nothing.
 func (s StaticOrder) Order(children []Position, ply int) []Position {
 	if ply >= s.MaxPly || len(children) < 2 {
 		return children
@@ -58,17 +60,24 @@ func (s StaticOrder) Order(children []Position, ply int) []Position {
 		p Position
 		v Value
 	}
-	keyed := make([]kv, len(children))
-	for i, c := range children {
-		keyed[i] = kv{p: c, v: c.Value()}
+	var buf [orderKeys]kv
+	keyed := buf[:0]
+	if len(children) > len(buf) {
+		keyed = make([]kv, 0, len(children))
+	}
+	for _, c := range children {
+		keyed = append(keyed, kv{p: c, v: c.Value()})
 	}
 	slices.SortStableFunc(keyed, func(a, b kv) int { return cmp.Compare(a.v, b.v) })
-	out := make([]Position, len(children))
 	for i, k := range keyed {
-		out[i] = k.p
+		children[i] = k.p
 	}
-	return out
+	return children
 }
+
+// orderKeys is the largest branching factor StaticOrder sorts without
+// allocating, above the usual degree of every game in this module.
+const orderKeys = 64
 
 // Cost reports how many static evaluations Order will perform for a node
 // with n children at the given ply.

@@ -29,7 +29,10 @@ type Board struct {
 	prevPassed bool
 }
 
-var _ game.Position = Board{}
+var (
+	_ game.Position = Board{}
+	_ game.Expander = Board{}
+)
 
 const (
 	fileA uint64 = 0x0101010101010101
@@ -195,15 +198,33 @@ func (b Board) Terminal() bool {
 // Children implements game.Position: one child per legal move, or a single
 // pass child when only the opponent can move, or nil when the game is over.
 func (b Board) Children() []game.Position {
+	var buf [childBuf]Board
+	return game.Boxed(b.appendChildren(buf[:0]))
+}
+
+// AppendChildren implements game.Expander: the children Children returns,
+// stored in slab.
+func (b Board) AppendChildren(dst []game.Position, slab *game.Slab) []game.Position {
+	var buf [childBuf]Board
+	return game.AppendStored(dst, slab, b.appendChildren(buf[:0]))
+}
+
+// childBuf is how many children are generated on the stack: the most legal
+// moves any reachable Othello position has. A board built by Parse may have
+// more; those spill to the heap.
+const childBuf = 33
+
+// appendChildren appends the position's children to out: the move rules
+// Children and AppendChildren share.
+func (b Board) appendChildren(out []Board) []Board {
 	moves := legalMoves(b.own, b.opp)
 	if moves == 0 {
 		if legalMoves(b.opp, b.own) == 0 {
-			return nil // game over
+			return out // game over
 		}
 		child, _ := b.Play(-1)
-		return []game.Position{child}
+		return append(out, child)
 	}
-	out := make([]game.Position, 0, bits.OnesCount64(moves))
 	for m := moves; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		child, ok := b.Play(i)

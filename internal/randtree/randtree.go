@@ -44,7 +44,10 @@ type pos struct {
 	ply  int
 }
 
-var _ game.Position = pos{}
+var (
+	_ game.Position = pos{}
+	_ game.Expander = pos{}
+)
 
 // Children returns the Degree successors, or nil at the leaf ply.
 func (p pos) Children() []game.Position {
@@ -53,9 +56,28 @@ func (p pos) Children() []game.Position {
 	}
 	out := make([]game.Position, p.t.Degree)
 	for i := range out {
-		out[i] = pos{t: p.t, hash: childHash(p.hash, i), ply: p.ply + 1}
+		out[i] = p.child(i)
 	}
 	return out
+}
+
+// AppendChildren implements game.Expander: the children Children returns,
+// stored in slab.
+func (p pos) AppendChildren(dst []game.Position, slab *game.Slab) []game.Position {
+	if p.ply >= p.t.Depth {
+		return dst
+	}
+	kids := game.Alloc[pos](slab, p.t.Degree)
+	for i := range kids {
+		kids[i] = p.child(i)
+		dst = append(dst, &kids[i])
+	}
+	return dst
+}
+
+// child returns the i-th successor.
+func (p pos) child(i int) pos {
+	return pos{t: p.t, hash: childHash(p.hash, i), ply: p.ply + 1}
 }
 
 // Value returns the leaf's uniform pseudo-random value. For interior nodes

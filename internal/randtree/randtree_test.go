@@ -41,6 +41,40 @@ func TestShape(t *testing.T) {
 	}
 }
 
+// TestExpanderMatchesChildren walks whole trees of several shapes and, at
+// every node, compares the children the expander writes into a slab with
+// Children's: the same count, order, hashes and values. The slab is
+// released in stack order as the walk returns, as serial ER releases it.
+func TestExpanderMatchesChildren(t *testing.T) {
+	for _, tr := range []*Tree{
+		{Seed: 1, Degree: 1, Depth: 6, ValueRange: 10},
+		{Seed: 2, Degree: 4, Depth: 5, ValueRange: 10000},
+		{Seed: 3, Degree: 9, Depth: 3, ValueRange: 100},
+		{Seed: 4, Degree: 300, Depth: 2, ValueRange: 1000}, // a run longer than a slab chunk
+		{Seed: 5, Degree: 3, Depth: 0, ValueRange: 10},     // the root is a leaf
+	} {
+		var slab game.Slab
+		var visit func(got, want game.Position)
+		visit = func(got, want game.Position) {
+			m := slab.Mark()
+			defer slab.Release(m)
+			wk := want.Children()
+			gk := got.(game.Expander).AppendChildren(nil, &slab)
+			if len(gk) != len(wk) {
+				t.Fatalf("%v: expander wrote %d children, Children returned %d", tr, len(gk), len(wk))
+			}
+			for i := range wk {
+				g, w := gk[i].(*pos), wk[i].(pos)
+				if *g != w || g.Hash() != w.Hash() || g.Value() != w.Value() {
+					t.Fatalf("%v: child %d: expander %+v, Children %+v", tr, i, *g, w)
+				}
+				visit(gk[i], wk[i])
+			}
+		}
+		visit(tr.Root(), tr.Root())
+	}
+}
+
 func TestLeafValuesInRange(t *testing.T) {
 	tr := &Tree{Seed: 3, Degree: 4, Depth: 3, ValueRange: 50}
 	var walk func(p game.Position)

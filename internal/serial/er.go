@@ -3,6 +3,7 @@ package serial
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"ertree/internal/game"
 )
@@ -47,7 +48,7 @@ import (
 // erNode carries the per-node state of Figure 8's node record, plus the
 // fail-soft value (see the comment at the top of this file). Depth and ply
 // are 32-bit so that the record, with its second value, still fits in 64
-// bytes: the expansion slabs, and the records the tentative-value sort
+// bytes: the records the store holds, and those the tentative-value sort
 // moves, keep their size.
 type erNode struct {
 	pos   game.Position
@@ -70,16 +71,65 @@ func (p *erNode) raise(k *erNode) {
 	}
 }
 
-// expandER generates the children of n once, as one slab: callers address a
-// child as &kids[i], so its own expansion is stored in the slab too. Children
-// of e-nodes are not statically sorted (the tentative-value sort replaces it,
-// §7); children expanded inside Eval_first are sorted by the Searcher's
-// orderer.
-func (s *Searcher) expandER(n *erNode, sortChildren bool) []erNode {
-	if n.kids != nil || n.depth == 0 {
-		return n.kids
+// store is one serial ER search's storage: the node records, a buffer the
+// children of one expansion are generated into, and the slab their boards
+// live in (game.Expander). Records and boards are released in stack order
+// as the recursion finishes each subtree, so what is live at once is
+// bounded by the recursion path: er holds its children and grandchildren,
+// evalFirst keeps the children it generates for its caller's refuteRest,
+// and refuteRest holds one child's children at a time. No child escapes the
+// search, which returns values only.
+type store struct {
+	recs game.Stack[erNode]
+	buf  []game.Position
+	slab game.Slab
+}
+
+// mark is a point in a store's record and board stacks.
+type mark struct{ recs, slab game.StackMark }
+
+func (st *store) mark() mark { return mark{st.recs.Mark(), st.slab.Mark()} }
+
+// release frees every record and board taken since m.
+func (st *store) release(m mark) {
+	st.recs.Release(m.recs)
+	st.slab.Release(m.slab)
+}
+
+// put releases everything the search took and returns the store to the
+// pool.
+func (st *store) put() {
+	st.release(mark{})
+	stores.Put(st)
+}
+
+// children generates pos's children into the store's buffer: through the
+// position's Expander into the slab when it has one, through Children
+// otherwise.
+func (st *store) children(pos game.Position) []game.Position {
+	if e, ok := pos.(game.Expander); ok {
+		st.buf = e.AppendChildren(st.buf[:0], &st.slab)
+	} else {
+		st.buf = append(st.buf[:0], pos.Children()...)
 	}
-	kids := n.pos.Children()
+	return st.buf
+}
+
+// stores recycles serial ER's storage across searches. A search takes a
+// store for its whole run and returns it empty, so concurrent searches
+// never share one and a warm store serves the next search of any game.
+var stores = sync.Pool{New: func() any { return new(store) }}
+
+// expandER generates the children of n as one run of records, taken from
+// the store: callers address a child as &kids[i], so its own expansion is
+// stored in the run too. Children of e-nodes are not statically sorted (the
+// tentative-value sort replaces it, §7); children expanded inside
+// Eval_first are sorted by the Searcher's orderer.
+func (s *Searcher) expandER(st *store, n *erNode, sortChildren bool) []erNode {
+	if n.depth == 0 {
+		return nil
+	}
+	kids := st.children(n.pos)
 	if len(kids) > 1 && sortChildren {
 		o := s.orderer()
 		ply := s.BasePly + int(n.ply)
@@ -87,7 +137,7 @@ func (s *Searcher) expandER(n *erNode, sortChildren bool) []erNode {
 		kids = o.Order(kids, ply)
 	}
 	s.Stats.AddGenerated(int64(len(kids)))
-	n.kids = make([]erNode, len(kids))
+	n.kids = st.recs.Take(len(kids))
 	for i, k := range kids {
 		n.kids[i] = erNode{pos: k, depth: n.depth - 1, ply: n.ply + 1}
 	}
@@ -115,25 +165,31 @@ func (s *Searcher) ER(pos game.Position, depth int, w game.Window) game.Value {
 // which steers a parallel search's windows and orderings above this one,
 // and the fail-soft value, which bounds the position.
 func (s *Searcher) ERValues(pos game.Position, depth int, w game.Window) (fig8, soft game.Value) {
+	st := stores.Get().(*store)
+	defer st.put()
 	s.Stats.AddGenerated(1)
-	root := &erNode{pos: pos, depth: int32(depth)}
-	s.er(root, w.Alpha, w.Beta)
+	root := &st.recs.Take(1)[0]
+	*root = erNode{pos: pos, depth: int32(depth)}
+	s.er(st, root, w.Alpha, w.Beta)
 	return root.value, root.soft
 }
 
 // er is function ER of Figure 8: the e-node protocol. It evaluates the elder
 // grandchildren (via Eval_first on every child), sorts the children by their
-// tentative values, then refutes the remaining children in that order.
-func (s *Searcher) er(p *erNode, alpha, beta game.Value) {
+// tentative values, then refutes the remaining children in that order. It
+// releases its children and grandchildren when it returns.
+func (s *Searcher) er(st *store, p *erNode, alpha, beta game.Value) {
+	m := st.mark()
+	defer st.release(m)
 	p.value, p.soft = alpha, -game.Inf
-	kids := s.expandER(p, false)
+	kids := s.expandER(st, p, false)
 	if len(kids) == 0 {
 		s.evalLeaf(p)
 		return
 	}
 	for i := range kids {
 		k := &kids[i]
-		s.evalFirst(k, -beta, -p.value)
+		s.evalFirst(st, k, -beta, -p.value)
 		if k.done {
 			p.raise(k)
 			if p.value >= beta {
@@ -151,7 +207,7 @@ func (s *Searcher) er(p *erNode, alpha, beta game.Value) {
 		if k.done {
 			continue
 		}
-		s.refuteRest(k, -beta, -p.value)
+		s.refuteRest(st, k, -beta, -p.value)
 		p.raise(k)
 		if p.value >= beta {
 			s.Stats.AddCutoffs(1)
@@ -165,14 +221,16 @@ func (s *Searcher) er(p *erNode, alpha, beta game.Value) {
 // evalFirst is function Eval_first of Figure 8: completely evaluate P's
 // first child (an e-node), giving P a tentative value. P is done if it is a
 // leaf, if the tentative value already refutes it, or if it has one child.
-func (s *Searcher) evalFirst(p *erNode, alpha, beta game.Value) {
+// P's children stay in the store when it returns: its caller's refuteRest
+// reads them.
+func (s *Searcher) evalFirst(st *store, p *erNode, alpha, beta game.Value) {
 	p.value, p.soft = alpha, -game.Inf
-	kids := s.expandER(p, true)
+	kids := s.expandER(st, p, true)
 	if len(kids) == 0 {
 		s.evalLeaf(p)
 		return
 	}
-	s.er(&kids[0], -beta, -p.value)
+	s.er(st, &kids[0], -beta, -p.value)
 	p.raise(&kids[0])
 	p.done = p.value >= beta || len(kids) == 1
 	if p.value >= beta {
@@ -193,10 +251,13 @@ func (s *Searcher) Examine(pos game.Position, depth int, w game.Window) game.Val
 // does. It is the serial work unit for one refutation step at the parallel
 // search's serial frontier.
 func (s *Searcher) ExamineValues(pos game.Position, depth int, w game.Window) (fig8, soft game.Value) {
-	p := &erNode{pos: pos, depth: int32(depth)}
-	s.evalFirst(p, w.Alpha, w.Beta)
+	st := stores.Get().(*store)
+	defer st.put()
+	p := &st.recs.Take(1)[0]
+	*p = erNode{pos: pos, depth: int32(depth)}
+	s.evalFirst(st, p, w.Alpha, w.Beta)
 	if !p.done {
-		s.refuteRest(p, w.Alpha, w.Beta)
+		s.refuteRest(st, p, w.Alpha, w.Beta)
 	}
 	return p.value, p.soft
 }
@@ -204,18 +265,22 @@ func (s *Searcher) ExamineValues(pos game.Position, depth int, w game.Window) (f
 // refuteRest is function Refute_rest of Figure 8: examine P's remaining
 // children (the first was handled by Eval_first) in order, attempting to
 // refute P. Each child is examined by Eval_first followed, if the child is
-// not yet done, by Refute_rest — the r-node protocol.
-func (s *Searcher) refuteRest(p *erNode, alpha, beta game.Value) {
+// not yet done, by Refute_rest — the r-node protocol. Once a child is
+// folded into P its subtree is released, so one child's children are live
+// at a time.
+func (s *Searcher) refuteRest(st *store, p *erNode, alpha, beta game.Value) {
 	s.Stats.AddRefutations(1)
 	if alpha > p.value {
 		p.value = alpha // see the package comment: retain the tentative value
 	}
+	m := st.mark()
 	for i := 1; i < len(p.kids); i++ {
 		k := &p.kids[i]
-		s.evalFirst(k, -beta, -p.value)
+		s.evalFirst(st, k, -beta, -p.value)
 		if !k.done {
-			s.refuteRest(k, -beta, -p.value)
+			s.refuteRest(st, k, -beta, -p.value)
 		}
+		st.release(m)
 		p.raise(k)
 		if p.value >= beta {
 			s.Stats.AddCutoffs(1)

@@ -12,7 +12,8 @@ import "ertree/internal/game"
 
 // Searcher bundles the policies shared by the serial algorithms: a move
 // orderer and a statistics sink. The zero value uses natural move order and
-// discards statistics.
+// discards statistics. Serial ER takes its storage from a pool for each
+// call (er.go), so a Searcher holds no state of its own.
 type Searcher struct {
 	// Order is the move-ordering policy. Nil means game.NaturalOrder.
 	Order game.Orderer
