@@ -40,10 +40,14 @@ func TestSearchWithAgreesAcrossBackends(t *testing.T) {
 	const depth = 7
 	var want ertree.Value
 	for i, name := range ertree.Backends() {
+		table, err := ertree.NewSearchTable(ertree.TableLockFree, 14, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := ertree.SearchWith(name, pos, depth, ertree.Config{
 			Workers:     4,
 			SerialDepth: 3,
-			Table:       ertree.NewSharedTranspositionTable(14, 0),
+			Table:       table,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -11,10 +11,12 @@ import (
 
 // TestBenchArtifactBackendCurves guards the committed BENCH_core.json: the
 // head-to-head benchmark must have produced a curve for every registered
-// backend and both shared-table implementations, plus enough host metadata to
+// backend and root driver, every point on the lock-free table and every
+// driver point on a registered driver, plus enough host metadata to
 // interpret the numbers on different hardware. CI's bench smoke regenerates
-// the artifact first, so a sweep that silently drops a backend or a table
-// implementation fails here rather than in a human's spreadsheet.
+// the artifact first, so a sweep that silently drops a backend or a driver
+// fails here rather than in a human's spreadsheet, and an artifact left over
+// from an arm that no longer exists fails too.
 func TestBenchArtifactBackendCurves(t *testing.T) {
 	raw, err := os.ReadFile("BENCH_core.json")
 	if err != nil {
@@ -27,7 +29,6 @@ func TestBenchArtifactBackendCurves(t *testing.T) {
 		NumCPU     int     `json:"num_cpu"`
 		GOMAXPROCS int     `json:"gomaxprocs"`
 		LazyVsER   float64 `json:"lazysmp_vs_er_at_max_p"`
-		LFvsStripe float64 `json:"lockfree_vs_striped_at_max_p"`
 		MTDFvsAsp  float64 `json:"mtdf_vs_aspiration_at_max_p"`
 		Points     []struct {
 			Backend string `json:"backend"`
@@ -59,28 +60,20 @@ func TestBenchArtifactBackendCurves(t *testing.T) {
 	if art.LazyVsER <= 0 {
 		t.Fatalf("artifact missing lazysmp_vs_er_at_max_p ratio: %v", art.LazyVsER)
 	}
-	if art.LFvsStripe <= 0 {
-		t.Fatalf("artifact missing lockfree_vs_striped_at_max_p ratio: %v", art.LFvsStripe)
-	}
 	if art.MTDFvsAsp <= 0 {
 		t.Fatalf("artifact missing mtdf_vs_aspiration_at_max_p ratio: %v", art.MTDFvsAsp)
 	}
 	warnSingleCPUArtifact(t, art.NumCPU, fmt.Sprintf(
-		"parallel speedups and the lockfree-vs-striped (%.2f) and "+
-			"mtdf-vs-aspiration (%.2f) ratios", art.LFvsStripe, art.MTDFvsAsp))
+		"parallel speedups and the mtdf-vs-aspiration ratio (%.2f)", art.MTDFvsAsp))
 
 	perBackend := map[string]int{}
-	erPerTable := map[string]int{}
 	for _, p := range art.Points {
 		perBackend[p.Backend]++
-		if p.Backend == "er" {
-			erPerTable[p.Table]++
-		}
 		if p.Nodes <= 0 {
 			t.Fatalf("point with no node count: %+v", p)
 		}
-		if p.Table == "" {
-			t.Fatalf("point missing table implementation: %+v", p)
+		if p.Table != ertree.TableLockFree {
+			t.Fatalf("point on table %q, want %q: %+v", p.Table, ertree.TableLockFree, p)
 		}
 	}
 	for _, be := range []string{"er", "serial", "lazysmp"} {
@@ -88,23 +81,19 @@ func TestBenchArtifactBackendCurves(t *testing.T) {
 			t.Fatalf("artifact has no %q curve (points per backend: %v)", be, perBackend)
 		}
 	}
-	// The er sweep runs both table implementations head to head; losing
-	// either curve silently voids the lockfree-vs-striped ratio.
-	for _, impl := range []string{"lockfree", "striped"} {
-		if erPerTable[impl] == 0 {
-			t.Fatalf("artifact has no er curve for table=%q (er points per table: %v)", impl, erPerTable)
-		}
-	}
 
-	// The driver sweep must carry every registered root driver, each point
-	// with the probe/re-search split that distinguishes the drivers —
-	// aspiration never spends null-window probes, mtdf and bns always do —
+	// The driver sweep must carry every registered root driver and no other,
+	// each point with the probe/re-search split that distinguishes the
+	// drivers — aspiration never spends null-window probes, mtdf always does —
 	// and all drivers on one workload must have found the same exact value
 	// (they resolve the same fixed-depth trees).
 	perDriver := map[string]int{}
 	valueByWorkload := map[string]map[string]int{}
 	for _, p := range art.DriverSweep {
 		perDriver[p.Driver]++
+		if !ertree.ValidDriver(p.Driver) {
+			t.Fatalf("driver point for unregistered driver %q: %+v", p.Driver, p)
+		}
 		if p.Workload == "" || p.Workers < 1 {
 			t.Fatalf("driver point missing identity: %+v", p)
 		}

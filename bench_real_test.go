@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"ertree"
-	"ertree/internal/benchlog"
 	"ertree/internal/engine"
 	"ertree/internal/experiments"
 	"ertree/internal/flight"
@@ -32,7 +31,7 @@ import (
 type realSpeedupPoint struct {
 	Workload  string  `json:"workload"`
 	Backend   string  `json:"backend"` // search backend: er, serial, lazysmp
-	Table     string  `json:"table"`   // shared-table implementation: lockfree, striped
+	Table     string  `json:"table"`   // shared-table implementation: lockfree
 	Workers   int     `json:"workers"`
 	Sharded   bool    `json:"sharded"` // er only: work-stealing heap vs. global heap
 	ElapsedNS int64   `json:"elapsed_ns"`
@@ -53,14 +52,14 @@ type realSpeedupPoint struct {
 // with the driver's probe/re-search spend and the table pressure it induced.
 type driverSweepPoint struct {
 	Workload   string  `json:"workload"`
-	Driver     string  `json:"driver"` // root driver: aspiration, mtdf, bns
+	Driver     string  `json:"driver"` // root driver: aspiration, mtdf
 	Workers    int     `json:"workers"`
 	ElapsedNS  int64   `json:"elapsed_ns"`
 	Speedup    float64 `json:"speedup"` // T(aspiration) / T(driver), same workload
 	Value      int     `json:"value"`
 	Nodes      int64   `json:"nodes"`
-	Probes     int64   `json:"probes"`     // null-window probes spent (mtdf/bns)
-	Researches int64   `json:"researches"` // wide-window re-searches (reopens + fallbacks)
+	Probes     int64   `json:"probes"`     // null-window probes spent (mtdf)
+	Researches int64   `json:"researches"` // wide-window re-searches (aspiration reopens)
 	TTProbes   int64   `json:"tt_probes"`
 	TTHits     int64   `json:"tt_hits"`
 	TTHitRate  float64 `json:"tt_hit_rate"`
@@ -106,11 +105,6 @@ type realSpeedupArtifact struct {
 	// shared-hash-table scheduler beats the paper's ER scheduler on this
 	// host — the comparison the 1990 paper couldn't run.
 	LazySMPVsER float64 `json:"lazysmp_vs_er_at_max_p"`
-	// LockfreeVsStriped is the throughput ratio T(striped)/T(lockfree) on the
-	// er global-heap points at the highest measured worker count, averaged
-	// over workloads: >1 means the lock-free table wins where probe/store
-	// contention is worst.
-	LockfreeVsStriped float64 `json:"lockfree_vs_striped_at_max_p"`
 	// MTDFVsAspiration is the deepening-throughput ratio
 	// T(aspiration)/T(mtdf) at the highest measured worker count, averaged
 	// over workloads: >1 means MTD(f)'s null-window probes against the shared
@@ -147,8 +141,6 @@ func benchBackendSearch(b *testing.B, name string, workers int, w experiments.Wo
 	var best ertree.BackendResult
 	var bestElapsed time.Duration
 	for r := 0; r < reps; r++ {
-		// Pinned to the lock-free (default) table so the backend curves stay
-		// on one table variable; the table comparison is the er sweep's job.
 		table, err := ertree.NewSearchTable(ertree.TableLockFree, tableBits, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -214,25 +206,14 @@ func BenchmarkRealSpeedup(b *testing.B) {
 	var ratioN int
 	var lazyRatioSum float64
 	var lazyRatioN int
-	var lfRatioSum float64
-	var lfRatioN int
 	var mtdfRatioSum float64
 	var mtdfRatioN int
 	driverPoints := []driverSweepPoint{}
-	// erModes are the (heap, table) variants measured per worker count: the
-	// lock-free table on both heap modes (the serving default and its
-	// work-stealing variant) plus the striped-table baseline on the global
-	// heap — the pair behind the lockfree_vs_striped summary ratio. The
-	// global+lockfree mode must come first: it is the T(1) denominator and
-	// the max-P reference the other modes are divided by.
-	erModes := []struct {
-		sharded bool
-		table   string
-	}{
-		{sharded: false, table: ertree.TableLockFree},
-		{sharded: true, table: ertree.TableLockFree},
-		{sharded: false, table: ertree.TableStriped},
-	}
+	// erModes are the heap variants measured per worker count: the global
+	// heap (the serving default) and its work-stealing variant. The global
+	// mode must come first: it is the T(1) denominator and the max-P
+	// reference the sharded mode is divided by.
+	erModes := []bool{false, true}
 	// Per-worker-count waste attribution, rebuilt per iteration from each
 	// search's flight log (the hooks are armed for spans anyway).
 	type wasteAccum struct {
@@ -244,7 +225,6 @@ func BenchmarkRealSpeedup(b *testing.B) {
 		points = points[:0]
 		ratioSum, ratioN = 0, 0
 		lazyRatioSum, lazyRatioN = 0, 0
-		lfRatioSum, lfRatioN = 0, 0
 		mtdfRatioSum, mtdfRatioN = 0, 0
 		driverPoints = driverPoints[:0]
 		waste = map[int]*wasteAccum{}
@@ -253,7 +233,7 @@ func BenchmarkRealSpeedup(b *testing.B) {
 			maxP := realSpeedupWorkers()[len(realSpeedupWorkers())-1]
 			var globalAtMaxP int64
 			for _, p := range realSpeedupWorkers() {
-				for _, mode := range erModes {
+				for _, sharded := range erModes {
 					hist := histFor(p)
 					var best ertree.Result
 					for r := 0; r < reps; r++ {
@@ -263,7 +243,7 @@ func BenchmarkRealSpeedup(b *testing.B) {
 						var tels []ertree.WorkerTelemetry
 						// A fresh table per measurement: each one is a cold
 						// search, not a replay of the previous point's work.
-						table, err := ertree.NewSearchTable(mode.table, tableBits, 0)
+						table, err := ertree.NewSearchTable(ertree.TableLockFree, tableBits, 0)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -271,7 +251,7 @@ func BenchmarkRealSpeedup(b *testing.B) {
 							Workers:     p,
 							SerialDepth: w.SerialDepth,
 							Order:       w.Order,
-							Sharded:     mode.sharded,
+							Sharded:     sharded,
 							StealSeed:   uint64(r),
 							Table:       table,
 							Hooks: &ertree.SearchHooks{
@@ -289,7 +269,7 @@ func BenchmarkRealSpeedup(b *testing.B) {
 						}
 						res, err := ertree.Search(w.Root, w.Depth, cfg)
 						if err != nil {
-							b.Fatalf("%s P=%d sharded=%v table=%s: %v", w.Name, p, mode.sharded, mode.table, err)
+							b.Fatalf("%s P=%d sharded=%v: %v", w.Name, p, sharded, err)
 						}
 						rep := flight.Build(tels, flight.Options{Workers: p})
 						wa, ok := waste[p]
@@ -306,32 +286,23 @@ func BenchmarkRealSpeedup(b *testing.B) {
 						}
 					}
 					res := best
-					lockfree := mode.table == ertree.TableLockFree
-					if p == 1 && !mode.sharded && lockfree {
+					if p == 1 && !sharded {
 						base = res.Elapsed.Nanoseconds()
 					}
 					if p == maxP {
-						switch {
-						case !mode.sharded && lockfree:
+						if !sharded {
 							globalAtMaxP = res.Elapsed.Nanoseconds()
-						case mode.sharded:
-							if res.Elapsed > 0 {
-								ratioSum += float64(globalAtMaxP) / float64(res.Elapsed.Nanoseconds())
-								ratioN++
-							}
-						default: // striped, global heap: the table head-to-head
-							if globalAtMaxP > 0 {
-								lfRatioSum += float64(res.Elapsed.Nanoseconds()) / float64(globalAtMaxP)
-								lfRatioN++
-							}
+						} else if res.Elapsed > 0 {
+							ratioSum += float64(globalAtMaxP) / float64(res.Elapsed.Nanoseconds())
+							ratioN++
 						}
 					}
 					pt := realSpeedupPoint{
 						Workload:  w.Name,
 						Backend:   "er",
-						Table:     mode.table,
+						Table:     ertree.TableLockFree,
 						Workers:   p,
-						Sharded:   mode.sharded,
+						Sharded:   sharded,
 						ElapsedNS: res.Elapsed.Nanoseconds(),
 						Value:     int(res.Value),
 						Nodes:     res.Stats.Generated,
@@ -474,11 +445,6 @@ func BenchmarkRealSpeedup(b *testing.B) {
 		lazyVsER = lazyRatioSum / float64(lazyRatioN)
 	}
 	b.ReportMetric(lazyVsER, "lazysmp/er@maxP")
-	lockfreeVsStriped := 0.0
-	if lfRatioN > 0 {
-		lockfreeVsStriped = lfRatioSum / float64(lfRatioN)
-	}
-	b.ReportMetric(lockfreeVsStriped, "lockfree/striped@maxP")
 	mtdfVsAspiration := 0.0
 	if mtdfRatioN > 0 {
 		mtdfVsAspiration = mtdfRatioSum / float64(mtdfRatioN)
@@ -486,18 +452,17 @@ func BenchmarkRealSpeedup(b *testing.B) {
 	b.ReportMetric(mtdfVsAspiration, "mtdf/aspiration@maxP")
 
 	art := realSpeedupArtifact{
-		GoVersion:         runtime.Version(),
-		GOOS:              runtime.GOOS,
-		GOARCH:            runtime.GOARCH,
-		NumCPU:            runtime.NumCPU(),
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		TableBits:         tableBits,
-		ShardedVsGlobal:   shardedVsGlobal,
-		LazySMPVsER:       lazyVsER,
-		LockfreeVsStriped: lockfreeVsStriped,
-		MTDFVsAspiration:  mtdfVsAspiration,
-		Points:            points,
-		DriverSweep:       driverPoints,
+		GoVersion:        runtime.Version(),
+		GOOS:             runtime.GOOS,
+		GOARCH:           runtime.GOARCH,
+		NumCPU:           runtime.NumCPU(),
+		GOMAXPROCS:       runtime.GOMAXPROCS(0),
+		TableBits:        tableBits,
+		ShardedVsGlobal:  shardedVsGlobal,
+		LazySMPVsER:      lazyVsER,
+		MTDFVsAspiration: mtdfVsAspiration,
+		Points:           points,
+		DriverSweep:      driverPoints,
 	}
 	for _, p := range realSpeedupWorkers() {
 		h := histFor(p)
@@ -530,16 +495,6 @@ func BenchmarkRealSpeedup(b *testing.B) {
 		b.Fatal(err)
 	}
 	if err := os.WriteFile("BENCH_core.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	// BENCH_core.json is a snapshot each run overwrites; the history file
-	// keeps every run's headline ratios so trends survive.
-	if err := benchlog.Append("BENCH_history.jsonl", "bench-real", map[string]float64{
-		"sharded_vs_global_at_max_p":   shardedVsGlobal,
-		"lazysmp_vs_er_at_max_p":       lazyVsER,
-		"lockfree_vs_striped_at_max_p": lockfreeVsStriped,
-		"mtdf_vs_aspiration_at_max_p":  mtdfVsAspiration,
-	}); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"ertree/internal/benchlog"
 	"ertree/internal/serve"
 )
 
@@ -54,7 +53,6 @@ func main() {
 		tableBits     = flag.Int("table-bits", 16, "in-process server: per-game transposition table bits")
 		cacheSize     = flag.Int("cache-size", 256, "in-process server: answer-cache capacity (0 disables)")
 		obsSample     = flag.Duration("obs-sample", 100*time.Millisecond, "in-process server: self-monitor sampling interval (0 disables anomaly detection)")
-		history       = flag.String("history", "", "append this run's headline throughput/shed numbers to a JSONL history file (e.g. BENCH_history.jsonl)")
 	)
 	flag.Parse()
 
@@ -157,27 +155,6 @@ func main() {
 		}
 		if *verbose {
 			fmt.Printf("wrote %s (%d phases)\n", *out, len(phases))
-		}
-	}
-	if *history != "" && len(phases) > 0 {
-		// Headline per-phase numbers for the retained history: throughput,
-		// shed rate, and total anomaly detections keyed by phase name.
-		ratios := make(map[string]float64, 3*len(phases))
-		for _, p := range phases {
-			ratios[p.Name+"_throughput_rps"] = p.ThroughputRPS
-			ratios[p.Name+"_shed_rate"] = p.ShedRate
-			var anoms int64
-			for _, n := range p.Anomalies {
-				anoms += n
-			}
-			ratios[p.Name+"_anomalies"] = float64(anoms)
-		}
-		if err := benchlog.Append(*history, "erload-"+sc.Name, ratios); err != nil {
-			fmt.Fprintf(os.Stderr, "appending %s: %v\n", *history, err)
-			os.Exit(1)
-		}
-		if *verbose {
-			fmt.Printf("appended headline numbers to %s\n", *history)
 		}
 	}
 	if runErr != nil {

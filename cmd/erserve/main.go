@@ -38,7 +38,6 @@ import (
 	"ertree/internal/driver"
 	"ertree/internal/engine"
 	"ertree/internal/serve"
-	"ertree/internal/tt"
 )
 
 func main() {
@@ -50,7 +49,6 @@ func main() {
 		serialDepth   = flag.Int("serial-depth", 3, "depth at or below which subtrees are searched serially")
 		sharded       = flag.Bool("sharded", false, "use the per-worker work-stealing problem heap")
 		tableBits     = flag.Int("table-bits", 20, "per-game transposition table size (2^bits slots, 0 disables)")
-		tableImpl     = flag.String("table-impl", "", "transposition-table implementation: "+tt.ImplsString()+" (empty follows $"+tt.EnvTable+", then "+tt.DefaultImpl+")")
 		cacheSize     = flag.Int("answer-cache", 256, "completed analyses retained by the single-flight answer cache (0 disables caching and request coalescing)")
 		maxConcurrent = flag.Int("max-concurrent", 2, "server-wide concurrent search sessions")
 		queueTimeout  = flag.Duration("queue-timeout", time.Second, "how long an over-capacity request waits for a slot before 503")
@@ -74,11 +72,6 @@ func main() {
 			*driverName, driver.NamesString())
 		os.Exit(2)
 	}
-	if !tt.ValidImpl(*tableImpl) {
-		fmt.Fprintf(os.Stderr, "erserve: unknown table implementation %q (valid: %s)\n",
-			*tableImpl, tt.ImplsString())
-		os.Exit(2)
-	}
 	s := serve.New(serve.Config{
 		Workers:       *workers,
 		Backend:       *backendName,
@@ -86,7 +79,6 @@ func main() {
 		SerialDepth:   *serialDepth,
 		Sharded:       *sharded,
 		TableBits:     *tableBits,
-		TableImpl:     *tableImpl,
 		CacheSize:     *cacheSize,
 		MaxConcurrent: *maxConcurrent,
 		QueueTimeout:  *queueTimeout,

@@ -20,7 +20,7 @@
 //	ertree -game connect4 -depth 9 -backend lazysmp -workers 4 -table-bits 20
 //
 // -driver runs a full deepening session through the engine's root-driver
-// seam (aspiration, mtdf, bns), printing one line per iteration with the
+// seam (aspiration, mtdf), printing one line per iteration with the
 // driver's probe and re-search counts:
 //
 //	ertree -game othello -depth 8 -driver mtdf -workers 4 -table-bits 20
@@ -62,17 +62,12 @@ func main() {
 		traceOut    = flag.String("trace", "", "with er-par/er-real: write a Chrome trace_event JSON (open in Perfetto) to this file")
 		bestLine    = flag.Bool("bestmove", false, "also print the best move and principal variation (parallel ER)")
 		tableBits   = flag.Int("table-bits", 0, "with er-real: back serial tasks with a shared transposition table of 2^bits slots (0 disables)")
-		tableImpl   = flag.String("table-impl", "", "shared table implementation: "+joinTables()+" (empty consults ERTREE_TABLE, then the default)")
 		flightOn    = flag.Bool("flight", false, "with er-real: record the search flight log and print the speculation-waste report")
 		obsOn       = flag.Bool("obs", false, "with -driver: run the self-monitor during the session and print its report after")
 		mutexProf   = flag.String("mutexprofile", "", "write a mutex-contention profile to this file (er-real lock interference)")
 		blockProf   = flag.String("blockprofile", "", "write a blocking profile to this file")
 	)
 	flag.Parse()
-	if !ertree.ValidTableImpl(*tableImpl) {
-		fmt.Fprintf(os.Stderr, "ertree: unknown table implementation %q (valid: %s)\n", *tableImpl, joinTables())
-		os.Exit(2)
-	}
 	if *mutexProf != "" {
 		runtime.SetMutexProfileFraction(1)
 		defer writeProfile("mutex", *mutexProf)
@@ -115,7 +110,6 @@ func main() {
 			SerialDepth: *serialDepth,
 			Order:       order,
 			TableBits:   *tableBits,
-			TableImpl:   *tableImpl,
 			Delta:       ertree.Value(*delta),
 		}
 		var mon *obs.Monitor
@@ -164,7 +158,7 @@ func main() {
 			os.Exit(2)
 		}
 		if *tableBits > 0 {
-			cfg.Table = mustTable(*tableImpl, *tableBits)
+			cfg.Table = mustTable(*tableBits)
 		}
 		res, err := ertree.SearchWith(*backendName, pos, *depth, cfg)
 		if err != nil {
@@ -239,7 +233,7 @@ func main() {
 		}
 	case "er-real":
 		if *tableBits > 0 {
-			cfg.Table = mustTable(*tableImpl, *tableBits)
+			cfg.Table = mustTable(*tableBits)
 		}
 		var sink *traceSink
 		if *traceOut != "" || *flightOn {
@@ -369,17 +363,11 @@ func joinBackends() string { return strings.Join(ertree.Backends(), ", ") }
 // joinDrivers lists the registered root-driver names for flag help and errors.
 func joinDrivers() string { return strings.Join(ertree.Drivers(), ", ") }
 
-// joinTables lists the shared-table implementation names for flag help.
-func joinTables() string { return strings.Join(ertree.TableImpls(), ", ") }
-
-// mustTable builds the selected shared-table implementation. The impl name
-// was validated right after flag.Parse, so a failure here means the
-// ERTREE_TABLE environment fallback named an unknown implementation.
-func mustTable(impl string, bits int) ertree.SearchTable {
-	t, err := ertree.NewSearchTable(impl, bits, 0)
+// mustTable builds the shared table of 2^bits slots.
+func mustTable(bits int) ertree.SearchTable {
+	t, err := ertree.NewSearchTable(ertree.TableLockFree, bits, 0)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ertree:", err)
-		os.Exit(2)
+		panic(err) // unreachable: TableLockFree names the implementation
 	}
 	return t
 }

@@ -3,10 +3,9 @@ package ertree
 import "ertree/internal/driver"
 
 // Drivers returns the registered root-driver names, sorted: "aspiration"
-// (the classic wide-window deepening loop, the default), "mtdf" (Plaat's
-// null-window probe convergence against the shared transposition table), and
-// "bns" (the best-first SSS*-equivalent probe order), plus any driver a
-// caller registered itself.
+// (the classic wide-window deepening loop, the default) and "mtdf" (Plaat's
+// null-window probe convergence against the shared transposition table),
+// plus any driver a caller registered itself.
 func Drivers() []string { return driver.Names() }
 
 // ValidDriver reports whether name is a registered root driver; servers and

@@ -113,47 +113,23 @@ type Hashable = tt.Hashable
 // NewTranspositionTable creates a table with 2^bits slots.
 func NewTranspositionTable(bits int) *TranspositionTable { return tt.New(bits) }
 
-// SharedTranspositionTable is the concurrent, mutex-striped table used by
-// parallel searches: attach one via Config.Table and the serial subtree tasks
-// probe it before searching and store their fail-soft bounds after, so
-// concurrent workers — and successive searches sharing the table — reuse each
-// other's subtree work. Exactness is preserved (probes match exact depth).
-type SharedTranspositionTable = tt.Shared
-
-// NewSharedTranspositionTable creates a striped shared table with 2^bits
-// slots split across the given number of mutex stripes (zero picks a
-// default). For implementation selection (lock-free vs striped) use
-// NewSearchTable.
-func NewSharedTranspositionTable(bits, shards int) *SharedTranspositionTable {
-	return tt.NewShared(bits, shards)
-}
-
-// SearchTable is the concurrent transposition-table seam every search
-// accepts: the mutex-striped baseline (SharedTranspositionTable) and the
-// lock-free bucketed table both implement it.
+// SearchTable is the concurrent transposition table every search accepts:
+// attach one via Config.Table and the serial subtree tasks probe it before
+// searching and store their fail-soft bounds after, so concurrent workers —
+// and successive searches sharing the table — reuse each other's subtree
+// work. Exactness is preserved (probes match exact depth). It is the
+// lock-free table: atomic cache-line buckets with aging replacement.
 type SearchTable = tt.SharedTable
 
-// Shared-table implementation names accepted by NewSearchTable.
-const (
-	TableStriped  = tt.ImplStriped  // mutex-striped direct-mapped baseline
-	TableLockFree = tt.ImplLockFree // atomic cache-line buckets, aging replacement
-)
+// TableLockFree names the shared-table implementation, the only one.
+const TableLockFree = tt.ImplLockFree
 
-// NewSearchTable creates a shared table of the named implementation with
-// 2^bits slots ("" consults the ERTREE_TABLE environment variable, then the
-// default, lock-free). shards stripes the striped implementation and is
-// ignored by the lock-free one. Unknown names return an error listing the
-// valid set.
+// NewSearchTable creates a shared table with 2^bits slots. impl must be ""
+// or TableLockFree; any other name returns an error naming the valid one.
+// shards is ignored: the lock-free table has no locks to stripe.
 func NewSearchTable(impl string, bits, shards int) (SearchTable, error) {
-	return tt.NewSharedTable(impl, bits, shards)
+	return tt.NewSharedTable(impl, bits)
 }
-
-// TableImpls returns the shared-table implementation names, sorted.
-func TableImpls() []string { return tt.Impls() }
-
-// ValidTableImpl reports whether impl names a shared-table implementation
-// ("" selects the default and is valid).
-func ValidTableImpl(impl string) bool { return tt.ValidImpl(impl) }
 
 // Config configures a parallel ER search.
 type Config struct {
@@ -200,10 +176,8 @@ type Config struct {
 	// Stats, if non-nil, receives node accounting.
 	Stats *Stats
 	// Table, if non-nil, backs the serial subtree tasks of Search with a
-	// concurrent transposition table — any SearchTable implementation (see
-	// NewSearchTable; NewSharedTranspositionTable builds the striped
-	// baseline). Ignored by Simulate, whose model of the paper's machine has
-	// no table.
+	// concurrent transposition table (see NewSearchTable). Ignored by
+	// Simulate, whose model of the paper's machine has no table.
 	Table SearchTable
 	// Hooks, if non-nil, arms per-worker telemetry on Search: busy spans by
 	// task kind, the speculative-vs-primary work split, heap samples, and —

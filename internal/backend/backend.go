@@ -55,13 +55,9 @@ type Config struct {
 	Order game.Orderer
 	// Table is the shared transposition table, or nil to search without
 	// memory. All backends probe and store through the same keying policy,
-	// so a table warmed by one backend answers the others. Any
-	// tt.SharedTable implementation works (tt.NewSharedTable selects one by
-	// name); New normalizes a typed-nil table to a nil interface.
+	// so a table warmed by one backend answers the others. New normalizes a
+	// typed-nil table to a nil interface.
 	Table tt.SharedTable
-	// DeeperHits accepts entries searched deeper than probed (Plaat-style
-	// memory reuse): better reuse, weaker exact-depth semantics.
-	DeeperHits bool
 
 	// ER scheduler knobs (er backend only).
 	ParallelRefutation bool // refute an e-node's children concurrently
@@ -213,7 +209,7 @@ func New(name string, cfg Config) (Backend, error) {
 	if !ok {
 		return nil, fmt.Errorf("backend: unknown backend %q (registered: %s)", name, NamesString())
 	}
-	// Normalize a typed-nil table (a nil *tt.Shared stored in the interface
+	// Normalize a typed-nil table (a nil *tt.LockFree stored in the interface
 	// field) to a plain nil interface, so backends can test cfg.Table == nil.
 	if tt.IsNil(cfg.Table) {
 		cfg.Table = nil
@@ -311,17 +307,15 @@ func RootScout(kids []game.Position, depth int, w game.Window, order []int, sear
 // ttPolicy is the transposition keying and traffic counting every backend
 // shares — the er backend applies it to each root child before a core
 // search, TTScout to every node it searches — so a table warmed by one
-// backend (or an earlier deepening iteration) answers the others. In exact
-// mode the key is salted with the depth, keeping one entry per (position,
-// depth) so iterative deepening's per-depth results coexist; deeper-hits
-// mode keys by position alone and accepts deeper entries (Plaat-style
-// reuse).
+// backend (or an earlier deepening iteration) answers the others. The key is
+// salted with the depth and probes match equal depth, keeping one entry per
+// (position, depth) so iterative deepening's per-depth results coexist and
+// every cached bound is a sound depth-d bound.
 type ttPolicy struct {
-	table  tt.SharedTable
-	deeper bool
+	table tt.SharedTable
 }
 
-// depthSalt decorrelates per-depth entries in exact mode.
+// depthSalt decorrelates per-depth entries.
 const depthSalt = 0x9E3779B97F4A7C15
 
 // probeChild probes the table for child at depth, narrowing w in place when
@@ -336,14 +330,9 @@ func (p ttPolicy) probeChild(child game.Position, depth int, w *game.Window, tot
 	if !ok {
 		return 0, false, 0, false
 	}
-	key := h.Hash()
-	probe := p.table.ProbeDeep
-	if !p.deeper {
-		key ^= uint64(depth) * depthSalt
-		probe = p.table.Probe
-	}
+	key := h.Hash() ^ uint64(depth)*depthSalt
 	tot.TTProbes++
-	en, ok := probe(key, depth)
+	en, ok := p.table.Probe(key, depth)
 	if !ok {
 		return 0, false, key, true
 	}
@@ -376,17 +365,13 @@ func (p ttPolicy) probeChild(child game.Position, depth int, w *game.Window, tot
 // searched under.
 func (p ttPolicy) storeChild(key uint64, depth int, v game.Value, w game.Window, tot *Totals) {
 	tot.TTStores++
-	store := p.table.Store
-	if p.deeper {
-		store = p.table.StoreDeep
-	}
 	switch {
 	case v <= w.Alpha:
-		store(key, depth, v, tt.Upper)
+		p.table.Store(key, depth, v, tt.Upper)
 	case v >= w.Beta:
-		store(key, depth, v, tt.Lower)
+		p.table.Store(key, depth, v, tt.Lower)
 	default:
-		store(key, depth, v, tt.Exact)
+		p.table.Store(key, depth, v, tt.Exact)
 	}
 }
 

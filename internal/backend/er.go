@@ -64,7 +64,7 @@ func (b *erBackend) Search(req Request) (Response, error) {
 		return LeafResponse(req), nil
 	}
 	var tot Totals
-	policy := ttPolicy{table: b.cfg.Table, deeper: b.cfg.DeeperHits}
+	policy := ttPolicy{table: b.cfg.Table}
 	search := func(child game.Position, depth int, w game.Window) (game.Value, error) {
 		if depth == 0 {
 			tot.Nodes++

@@ -66,7 +66,7 @@ func TestBackendInvariance(t *testing.T) {
 					be, err := backend.New(name, backend.Config{
 						Workers:     p,
 						SerialDepth: 2,
-						Table:       tt.NewDefault(14, 0),
+						Table:       tt.NewLockFree(14),
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -131,7 +131,7 @@ func TestBackendFailSoftWindows(t *testing.T) {
 	pos, depth := tr.Root(), 5
 	truth := negamax(pos, depth)
 	for _, name := range backend.Names() {
-		be, err := backend.New(name, backend.Config{Workers: 2, SerialDepth: 2, Table: tt.NewDefault(12, 0)})
+		be, err := backend.New(name, backend.Config{Workers: 2, SerialDepth: 2, Table: tt.NewLockFree(12)})
 		if err != nil {
 			t.Fatal(err)
 		}

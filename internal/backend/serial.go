@@ -29,11 +29,10 @@ func (b *serialBackend) Search(req Request) (Response, error) {
 	}
 	var tot Totals
 	sc := &TTScout{
-		Order:      b.cfg.Order,
-		Table:      b.cfg.Table,
-		DeeperHits: b.cfg.DeeperHits,
-		Cancel:     req.Cancel,
-		Totals:     &tot,
+		Order:  b.cfg.Order,
+		Table:  b.cfg.Table,
+		Cancel: req.Cancel,
+		Totals: &tot,
 	}
 	r, err := RootScout(kids, req.Depth, req.Window, req.RootOrder, sc.Search)
 	return Response{
@@ -51,15 +50,13 @@ func (b *serialBackend) Search(req Request) (Response, error) {
 // the exact same node semantics as the serial backend. Every node that
 // implements tt.Hashable is probed before expansion and its fail-soft result
 // stored after, through ttPolicy (depth-salted keys with equal-depth
-// matching, or bare keys with depth-or-deeper matching in DeeperHits mode);
-// with exact-depth matching the cached bounds keep every returned value the
-// sound depth-limited negamax bound.
+// matching), so the cached bounds keep every returned value the sound
+// depth-limited negamax bound.
 // Not safe for concurrent use; each worker owns one.
 type TTScout struct {
-	Order      game.Orderer
-	Table      tt.SharedTable // nil (or typed nil) searches without memory
-	DeeperHits bool
-	Cancel     <-chan struct{}
+	Order  game.Orderer
+	Table  tt.SharedTable // nil (or typed nil) searches without memory
+	Cancel <-chan struct{}
 	// Totals receives the node and table accounting. Must be non-nil.
 	Totals *Totals
 
@@ -100,7 +97,7 @@ func (s *TTScout) search(pos game.Position, depth, ply int, w game.Window) (game
 		s.Totals.LeafTasks++
 		return pos.Value(), nil
 	}
-	policy := ttPolicy{table: s.Table, deeper: s.DeeperHits}
+	policy := ttPolicy{table: s.Table}
 	cached, done, key, hashable := policy.probeChild(pos, depth, &w, s.Totals)
 	if done {
 		return cached, nil
@@ -149,8 +146,8 @@ func (s *TTScout) search(pos game.Position, depth, ply int, w game.Window) (game
 	}
 	if hashable {
 		// Classify against the (possibly table-narrowed) window actually
-		// searched; with equal-depth matching the narrowed bounds keep the
-		// classification sound.
+		// searched; equal-depth matching keeps the narrowed bounds, and so
+		// the classification, sound.
 		policy.storeChild(key, depth, m, w, s.Totals)
 	}
 	return m, nil

@@ -40,7 +40,7 @@ func TestSearchMatchesNegamaxWithTT(t *testing.T) {
 			t.Parallel()
 			for _, depth := range c.depths {
 				oracle := (&serial.Searcher{}).Negmax(c.pos, depth)
-				table := tt.NewDefault(14, 8)
+				table := tt.NewLockFree(14)
 				opt := DefaultOptions()
 				opt.Workers = workers
 				opt.SerialDepth = depth / 2
@@ -72,7 +72,7 @@ func TestSearchTableReuseAcrossRuns(t *testing.T) {
 	pos := connect4.New()
 	const depth = 8
 	oracle := (&serial.Searcher{}).Negmax(pos, depth)
-	table := tt.NewDefault(14, 8)
+	table := tt.NewLockFree(14)
 	opt := DefaultOptions()
 	opt.Workers = 4
 	opt.SerialDepth = 4

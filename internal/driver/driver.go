@@ -6,7 +6,7 @@
 // against the shared transposition table — is the whole difference between
 // the classic wide-window deepening loop and Plaat et al.'s MTD(f) family.
 //
-// Three drivers register here:
+// Two drivers register here:
 //
 //   - "aspiration": the engine's historical behavior — search a window around
 //     the previous iteration's value, reopen the failed half on a fail-low or
@@ -15,14 +15,8 @@
 //   - "mtdf": MTD(f) — zero-window probes seeded from the previous
 //     iteration's value, each probe returning a fail-soft bound that narrows
 //     a monotone [lower, upper] envelope, with bound bisection after a few
-//     adjacent-step probes and a wide-window fallback when the probe budget
-//     runs out (the Plaat pathology guard: an unstable table degrades to one
-//     wide search, never an unbounded probe loop).
-//   - "bns": the best-first/SSS*-equivalent mode — null-window probes
-//     descending from +Inf, so successive probes enumerate ever-tighter upper
-//     bounds exactly the way SSS* expands its OPEN list (Plaat's MT-SSS*
-//     equivalence). Included for the comparison table, not as a serving
-//     default.
+//     adjacent-step probes, so no resolution spends more than ProbeBound
+//     probes, whatever the table holds.
 //
 // The contract every driver honors: Resolve returns the exact depth-limited
 // negamax value of the position the Search primitive searches, a root child
@@ -54,10 +48,9 @@ type Result struct {
 	// Value is the exact depth-limited negamax value.
 	Value game.Value
 	// Researches counts wide-window searches beyond the first: aspiration
-	// window reopenings, and the mtdf/bns probe-budget fallback search.
+	// window reopenings (mtdf never re-searches).
 	Researches int
-	// Probes counts null-window probes (mtdf/bns only; aspiration never
-	// probes).
+	// Probes counts null-window probes (mtdf only; aspiration never probes).
 	Probes int
 }
 
@@ -67,25 +60,7 @@ type Config struct {
 	// value (aspiration driver only). Zero searches every iteration with a
 	// full window.
 	Delta game.Value
-	// MaxProbes bounds the null-window probes mtdf and bns may spend per
-	// iteration before falling back to one wide-window search. Zero means
-	// DefaultMaxProbes.
-	MaxProbes int
-	// BisectAfter is how many adjacent-step probes mtdf tries before
-	// switching to bound bisection (which converges in O(log range) probes
-	// no matter how the value estimates jump around). Zero means
-	// DefaultBisectAfter.
-	BisectAfter int
 }
-
-// Default probe-policy knobs. MaxProbes is deliberately generous — with a
-// consistent search the bisection regime converges in well under 40 probes on
-// 31-bit values — so the fallback only fires on genuinely pathological
-// (table-unstable) iterations.
-const (
-	DefaultMaxProbes   = 64
-	DefaultBisectAfter = 4
-)
 
 // Default is the driver engines use when nothing selects one: the classic
 // aspiration deepening loop, the behavior sessions had before drivers were

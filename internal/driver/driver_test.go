@@ -38,7 +38,7 @@ func minimalSearch(truth game.Value, move int) driver.Search {
 }
 
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{"aspiration", "mtdf", "bns"} {
+	for _, name := range []string{"aspiration", "mtdf"} {
 		if !driver.Valid(name) {
 			t.Fatalf("driver %q not registered", name)
 		}
@@ -49,7 +49,7 @@ func TestRegistry(t *testing.T) {
 	if _, err := driver.New("nosuch", driver.Config{}); err == nil {
 		t.Fatal("unknown driver constructed")
 	} else if got := err.Error(); !strings.Contains(got, "aspiration") ||
-		!strings.Contains(got, "mtdf") || !strings.Contains(got, "bns") {
+		!strings.Contains(got, "mtdf") {
 		t.Fatalf("error does not name the registered set: %q", got)
 	}
 	names := driver.Names()
@@ -109,18 +109,15 @@ func TestResolveExactness(t *testing.T) {
 
 // TestMTDFProbeBounds is the convergence property test: against the
 // minimal-information adversary on random value distributions, MTD(f)'s probe
-// count is bounded by the adjacent-step allowance plus the bisection bound
-// (the envelope starts 2·Inf wide and halves every bisected probe), never by
-// luck. The informed search must converge in at most two probes regardless
-// of the first guess.
+// count stays within ProbeBound (the adjacent-step allowance plus the
+// bisection bound: the envelope starts 2·Inf wide and halves every bisected
+// probe), never by luck. The informed search must converge in at most two
+// probes regardless of the first guess.
 func TestMTDFProbeBounds(t *testing.T) {
 	d, err := driver.New("mtdf", driver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ceil(log2(2*Inf)) = 31 bisections cover the worst envelope, +1 for the
-	// final adjacent collision.
-	bisectBound := driver.DefaultBisectAfter + 32
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
 		truth := game.Value(rng.Intn(20001) - 10000)
@@ -135,9 +132,9 @@ func TestMTDFProbeBounds(t *testing.T) {
 		if r.Value != truth {
 			t.Fatalf("truth %d guess %d: value %d", truth, prev, r.Value)
 		}
-		if r.Probes > bisectBound {
+		if r.Probes > driver.ProbeBound {
 			t.Fatalf("truth %d guess %d: %d probes exceeds the bisection bound %d",
-				truth, prev, r.Probes, bisectBound)
+				truth, prev, r.Probes, driver.ProbeBound)
 		}
 		if r.Researches != 0 {
 			t.Fatalf("truth %d guess %d: converged resolution reports %d re-searches",
@@ -155,43 +152,90 @@ func TestMTDFProbeBounds(t *testing.T) {
 	}
 }
 
-// TestMTDFPathologyFallback pins the Plaat pathology to the wide-window
-// fallback path: when the probe budget is too small for the envelope to
-// converge (the unstable-table case in miniature), the driver must spend
-// exactly the budget, run one wide-window search, and return its exact value
-// and move — never loop.
-func TestMTDFPathologyFallback(t *testing.T) {
-	const truth, move = 123, 5
-	for _, name := range []string{"mtdf", "bns"} {
-		d, err := driver.New(name, driver.Config{MaxProbes: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		probes := 0
+// TestMTDFAdversarialTerminates is the termination proof behind ProbeBound:
+// a search that answers every probe with an arbitrary fail-soft value —
+// edge-tight (v = γ or γ-1), anywhere on its side of γ, or at ±Inf, each
+// answer independent of and usually contradicting the earlier ones — from
+// random first guesses, NoValue included, must still end every resolution
+// within ProbeBound probes and without a re-search. The greedy adversary
+// always picks the edge-tight answer that leaves the wider envelope, the
+// slowest any search can make the envelope close.
+func TestMTDFAdversarialTerminates(t *testing.T) {
+	d, err := driver.New("mtdf", driver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(19))
+	between := func(lo, hi int64) game.Value { return game.Value(lo + rng.Int63n(hi-lo+1)) }
+	maxSeen := 0
+	for i := 0; i < 20000; i++ {
+		greedy := i%4 == 0
+		lower, upper := -game.Inf, game.Inf // the adversary's view of the envelope
+		calls := 0
 		search := func(w game.Window) (int, game.Value, error) {
-			if w == game.FullWindow() {
-				return move, truth, nil
+			calls++
+			if calls > driver.ProbeBound {
+				t.Fatalf("resolution %d: probe %d exceeds ProbeBound %d", i, calls, driver.ProbeBound)
 			}
-			probes++
-			// Oscillate: claim the truth is just below every window asked
-			// about, yielding the weakest possible upper bound each time.
-			return -1, w.Alpha, nil
+			if w.Beta != w.Alpha+1 {
+				t.Fatalf("resolution %d: window %+v is not a null window", i, w)
+			}
+			gamma := w.Beta
+			var v game.Value
+			high := rng.Intn(2) == 0
+			if greedy {
+				high = upper-gamma >= gamma-1-lower
+			}
+			switch kind := rng.Intn(3); {
+			case greedy || kind == 0: // edge-tight
+				v = gamma
+				if !high {
+					v = gamma - 1
+				}
+			case kind == 1: // anywhere on its side of γ
+				if high {
+					v = between(int64(gamma), int64(game.Inf))
+				} else {
+					v = between(-int64(game.Inf), int64(gamma)-1)
+				}
+			default: // the extremes
+				v = game.Inf
+				if !high {
+					v = -game.Inf
+				}
+			}
+			if v >= gamma && v > lower {
+				lower = v
+			} else if v < gamma && v < upper {
+				upper = v
+			}
+			return rng.Intn(8), v, nil
 		}
-		r, err := d.Resolve(search, game.NoValue)
+		var prev game.Value
+		switch rng.Intn(4) {
+		case 0:
+			prev = game.NoValue
+		case 1:
+			prev = between(-int64(game.Inf), int64(game.Inf))
+		default:
+			prev = between(-1000, 1000)
+		}
+		r, err := d.Resolve(search, prev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if probes != 4 || r.Probes != 4 {
-			t.Fatalf("%s: spent %d probes (reported %d), want the budget 4", name, probes, r.Probes)
+		if r.Probes != calls || r.Probes > driver.ProbeBound {
+			t.Fatalf("resolution %d: reported %d probes for %d searches (bound %d)",
+				i, r.Probes, calls, driver.ProbeBound)
 		}
-		if r.Researches != 1 {
-			t.Fatalf("%s: fallback researches %d, want 1", name, r.Researches)
+		if r.Researches != 0 {
+			t.Fatalf("resolution %d: %d re-searches, want none", i, r.Researches)
 		}
-		if r.Value != truth || r.Move != move {
-			t.Fatalf("%s: fallback returned value %d move %d, want %d/%d",
-				name, r.Value, r.Move, truth, move)
+		if r.Probes > maxSeen {
+			maxSeen = r.Probes
 		}
 	}
+	t.Logf("most probes in one resolution: %d (bound %d)", maxSeen, driver.ProbeBound)
 }
 
 // TestMTDFInconsistentBoundsTerminate: a search whose answers contradict each
@@ -206,7 +250,7 @@ func TestMTDFInconsistentBoundsTerminate(t *testing.T) {
 	calls := 0
 	search := func(w game.Window) (int, game.Value, error) {
 		calls++
-		if calls > driver.DefaultMaxProbes+1 {
+		if calls > driver.ProbeBound {
 			t.Fatal("driver did not terminate on contradictory bounds")
 		}
 		if calls == 1 {

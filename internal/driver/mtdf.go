@@ -2,10 +2,20 @@ package driver
 
 import "ertree/internal/game"
 
-func init() {
-	Register("mtdf", newMTDF)
-	Register("bns", newBNS)
-}
+func init() { Register("mtdf", newMTDF) }
+
+// bisectAfter is how many adjacent-step probes mtdf tries before switching
+// to bisection of the envelope.
+const bisectAfter = 4
+
+// ProbeBound is the most null-window probes one mtdf resolution can spend,
+// whatever the search returns, consistent or not. Every probe tests a γ in
+// the envelope (lower, upper] and moves one edge past it, so the envelope
+// strictly shrinks; every bisected probe tests the envelope's ceiling
+// midpoint, so it at least halves the width. The envelope starts 2·Inf =
+// 2^31 wide, so after the bisectAfter adjacent steps at most 32 bisections
+// empty it.
+const ProbeBound = bisectAfter + 32
 
 // mtdf is Plaat et al.'s MTD(f): only null-window probes, each one a cheap
 // fail-soft test "is the value at least γ?", converging a monotone
@@ -14,34 +24,20 @@ func init() {
 // engine with a memory-rich transposition table: the probes keep re-visiting
 // the same tree, and the table turns those re-visits into lookups.
 //
-// Two guards keep the pathological cases bounded. After bisectAfter
-// adjacent-step probes (the classic "test next to the last result" step,
-// which can creep one unit per probe when value estimates drift), the test
-// point switches to bisection of the envelope, which converges in O(log
-// range) probes no matter how the estimates jump. And when maxProbes is
-// spent without convergence — the Plaat pathology: a table too small or too
-// lossy to keep the probes' bounds stable — the driver abandons probing and
-// runs one wide-window search, exact by construction. Termination never
-// depends on the table.
-type mtdf struct {
-	maxProbes   int
-	bisectAfter int
-}
+// After bisectAfter adjacent-step probes (the classic "test next to the last
+// result" step, which can creep one unit per probe when value estimates
+// drift), the test point switches to bisection of the envelope, which
+// converges in O(log range) probes no matter how the estimates jump — even
+// when a table too small or too lossy to keep the probes' bounds stable (the
+// Plaat pathology) makes the answers contradict each other. Termination
+// never depends on the table: see ProbeBound.
+type mtdf struct{}
 
-func newMTDF(cfg Config) Driver {
-	d := &mtdf{maxProbes: cfg.MaxProbes, bisectAfter: cfg.BisectAfter}
-	if d.maxProbes <= 0 {
-		d.maxProbes = DefaultMaxProbes
-	}
-	if d.bisectAfter <= 0 {
-		d.bisectAfter = DefaultBisectAfter
-	}
-	return d
-}
+func newMTDF(Config) Driver { return mtdf{} }
 
-func (d *mtdf) Name() string { return "mtdf" }
+func (mtdf) Name() string { return "mtdf" }
 
-func (d *mtdf) Resolve(search Search, prev game.Value) (Result, error) {
+func (mtdf) Resolve(search Search, prev game.Value) (Result, error) {
 	r := Result{Move: -1}
 	g := prev
 	if g == game.NoValue {
@@ -49,11 +45,8 @@ func (d *mtdf) Resolve(search Search, prev game.Value) (Result, error) {
 	}
 	lower, upper := -game.Inf, game.Inf
 	for lower < upper {
-		if r.Probes >= d.maxProbes {
-			return wideFallback(r, search)
-		}
 		var gamma game.Value
-		if r.Probes < d.bisectAfter {
+		if r.Probes < bisectAfter {
 			// Adjacent step: test at the last result, nudged inside the
 			// envelope (g == lower means "test whether it is even better").
 			gamma = g
@@ -92,70 +85,9 @@ func (d *mtdf) Resolve(search Search, prev game.Value) (Result, error) {
 	return r, nil
 }
 
-// bns is the best-first member of the MT family: null-window probes pinned to
-// the current upper bound, descending from +Inf. Probing at γ = f+ is exactly
-// Plaat's MT-SSS* formulation — each probe expands the best (highest upper
-// bound) line first, so the probe sequence enumerates the same nodes SSS*
-// would pop off its OPEN list, with the transposition table standing in for
-// the list. Converges when one probe finally proves a move reaches the
-// current upper bound. Shares mtdf's probe budget and wide-window fallback.
-type bns struct {
-	maxProbes int
-}
-
-func newBNS(cfg Config) Driver {
-	d := &bns{maxProbes: cfg.MaxProbes}
-	if d.maxProbes <= 0 {
-		d.maxProbes = DefaultMaxProbes
-	}
-	return d
-}
-
-func (d *bns) Name() string { return "bns" }
-
-func (d *bns) Resolve(search Search, prev game.Value) (Result, error) {
-	r := Result{Move: -1}
-	lower, upper := -game.Inf, game.Inf
-	for lower < upper {
-		if r.Probes >= d.maxProbes {
-			return wideFallback(r, search)
-		}
-		gamma := upper // the SSS* test point: the best upper bound so far
-		move, v, err := search(game.Window{Alpha: gamma - 1, Beta: gamma})
-		if err != nil {
-			return r, err
-		}
-		r.Probes++
-		if v >= gamma {
-			if v > lower {
-				lower = v
-			}
-			r.Move = move
-		} else if v < upper {
-			upper = v
-		}
-	}
-	r.Value = lower
-	return r, nil
-}
-
 // bisect picks the next test point strictly inside (lower, upper]: the
 // ceiling midpoint, computed in 64 bits because upper-lower can exceed the
 // 32-bit value range when the envelope is still (-Inf, Inf).
 func bisect(lower, upper game.Value) game.Value {
 	return lower + game.Value((int64(upper)-int64(lower)+1)/2)
-}
-
-// wideFallback resolves an iteration whose probe budget ran out: one
-// full-window search, exact by construction regardless of what the table
-// holds. Counted as a re-search, so the telemetry shows pathological
-// iterations as "probes maxed + one re-search".
-func wideFallback(r Result, search Search) (Result, error) {
-	move, v, err := search(game.FullWindow())
-	if err != nil {
-		return r, err
-	}
-	r.Researches++
-	r.Move, r.Value = move, v
-	return r, nil
 }

@@ -78,14 +78,6 @@ func TestDriverEquivalence(t *testing.T) {
 							t.Fatalf("move %d does not prove the value: child value %d, want %d",
 								an.Move, got, want)
 						}
-						// mtdf converges within the bisection bound; bns's
-						// γ = upper probes can creep (the SSS* worst case
-						// against weak upper bounds) and are bounded by the
-						// probe budget plus its wide-window fallback instead.
-						probeBound := driver.DefaultBisectAfter + 32
-						if drvName == "bns" {
-							probeBound = driver.DefaultMaxProbes
-						}
 						for _, it := range an.Iterations {
 							if it.Value != oracle(tc.pos, it.Depth) {
 								t.Fatalf("depth %d: value %d, oracle %d",
@@ -97,17 +89,12 @@ func TestDriverEquivalence(t *testing.T) {
 									t.Fatalf("aspiration iteration reports %d probes", it.Probes)
 								}
 							default:
-								if it.Probes == 0 && it.Researches == 0 {
-									t.Fatalf("depth %d: %s resolved with no probes and no fallback",
-										it.Depth, drvName)
+								if it.Probes == 0 {
+									t.Fatalf("depth %d: %s resolved with no probes", it.Depth, drvName)
 								}
-								if it.Probes > probeBound {
+								if it.Probes > driver.ProbeBound {
 									t.Fatalf("depth %d: %d probes exceeds the driver's bound %d",
-										it.Depth, it.Probes, probeBound)
-								}
-								if it.Probes == driver.DefaultMaxProbes && it.Researches == 0 {
-									t.Fatalf("depth %d: probe budget spent without the fallback firing",
-										it.Depth)
+										it.Depth, it.Probes, driver.ProbeBound)
 								}
 							}
 						}
@@ -137,9 +124,9 @@ func TestDriverEquivalenceNoTable(t *testing.T) {
 					t.Fatalf("value %d without table, oracle %d", an.Value, want)
 				}
 				st := e.Stats()
-				if st.Probes > int64(tc.depth*driver.DefaultMaxProbes) {
-					t.Fatalf("%d probes for %d iterations: probe budget not enforced",
-						st.Probes, tc.depth)
+				if st.Probes > int64(tc.depth*driver.ProbeBound) {
+					t.Fatalf("%d probes for %d iterations: more than the driver's bound %d per iteration",
+						st.Probes, tc.depth, driver.ProbeBound)
 				}
 			})
 		}
@@ -200,10 +187,10 @@ func TestSessionDriverUnknown(t *testing.T) {
 // driver matrix's knob), and an unknown value there panics in New like an
 // unknown Config.Driver does.
 func TestConfigDriverEnv(t *testing.T) {
-	t.Setenv(EnvDriver, "bns")
+	t.Setenv(EnvDriver, "mtdf")
 	e := New(Config{Workers: 1})
-	if e.Driver() != "bns" {
-		t.Fatalf("driver %q, want the env-selected bns", e.Driver())
+	if e.Driver() != "mtdf" {
+		t.Fatalf("driver %q, want the env-selected mtdf", e.Driver())
 	}
 
 	t.Setenv(EnvDriver, "nosuch")

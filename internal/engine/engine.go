@@ -80,11 +80,11 @@ type Config struct {
 	Backend string
 	// Driver selects the root driver that resolves each deepening iteration:
 	// "aspiration" (wide window around the previous value, the classic
-	// loop), "mtdf" (null-window probes against the shared table), or "bns"
-	// (the best-first SSS*-equivalent probe order). Empty consults the
-	// ERTREE_DRIVER environment variable, then falls back to DefaultDriver.
-	// Unknown names panic in New — validate user input with driver.Valid
-	// first. Per-session overrides go through SessionOptions.Driver.
+	// loop) or "mtdf" (null-window probes against the shared table). Empty
+	// consults the ERTREE_DRIVER environment variable, then falls back to
+	// DefaultDriver. Unknown names panic in New — validate user input with
+	// driver.Valid first. Per-session overrides go through
+	// SessionOptions.Driver.
 	Driver string
 	// Workers is the parallel-ER worker count used by each search.
 	// Defaults to 1.
@@ -105,22 +105,13 @@ type Config struct {
 	ProfileLabels bool
 	// TableBits sizes the shared transposition table at 2^TableBits slots.
 	// Zero disables the table. All sessions of this engine share it, both
-	// concurrently and across iterations. The striped implementation uses
-	// tt.DefaultShards stripes.
+	// concurrently and across iterations. Probes match equal depth only, so
+	// every reported value is the exact depth-d value.
 	TableBits int
-	// TableImpl selects the shared-table implementation: "lockfree" (atomic
-	// cache-line buckets with XOR key validation and aging replacement) or
-	// "striped" (the mutex-striped direct-mapped baseline). Empty consults
-	// the ERTREE_TABLE environment variable, then falls back to
-	// tt.DefaultImpl. Unknown names panic in New — validate user input with
-	// tt.ValidImpl first.
+	// TableImpl names the shared-table implementation: empty or "lockfree"
+	// (tt.ImplLockFree, atomic cache-line buckets with XOR key validation
+	// and aging replacement), the only one. Any other name panics in New.
 	TableImpl string
-	// DeeperHits accepts transposition entries searched deeper than
-	// requested (Plaat-style memory reuse). Off, probes match equal depth
-	// only and every reported value is the exact depth-d value; on, values
-	// may come from deeper searches — better moves, weaker depth
-	// semantics.
-	DeeperHits bool
 	// Delta is the aspiration half-window around the previous iteration's
 	// value. Zero searches every iteration with a full window.
 	Delta game.Value
@@ -266,7 +257,7 @@ func New(cfg Config) *Engine {
 		e.sem = make(chan struct{}, cfg.MaxConcurrent)
 	}
 	if cfg.TableBits > 0 {
-		table, err := tt.NewSharedTable(cfg.TableImpl, cfg.TableBits, 0)
+		table, err := tt.NewSharedTable(cfg.TableImpl, cfg.TableBits)
 		if err != nil {
 			panic(fmt.Sprintf("engine: %v", err))
 		}
@@ -277,7 +268,6 @@ func New(cfg Config) *Engine {
 		SerialDepth: cfg.SerialDepth,
 		Order:       cfg.Order,
 		Table:       e.table,
-		DeeperHits:  cfg.DeeperHits,
 		// The engine has always run ER with the full speculation protocol on.
 		ParallelRefutation: true,
 		MultipleENodes:     true,
@@ -295,7 +285,7 @@ func New(cfg Config) *Engine {
 	}
 	// One instance of every registered driver, so per-session driver
 	// switches (?driver=) are map lookups too. Drivers share the engine's
-	// aspiration half-window; the probe-policy knobs keep their defaults.
+	// aspiration half-window.
 	dcfg := driver.Config{Delta: cfg.Delta}
 	e.drivers = make(map[string]driver.Driver)
 	for _, name := range driver.Names() {
@@ -437,7 +427,7 @@ type Stats struct {
 	TableHitRate float64
 	TableFill    int
 	TableLen     int
-	// TableImpl names the table implementation ("striped" or "lockfree");
+	// TableImpl names the table implementation ("lockfree");
 	// TableGeneration is its current aging generation (bumped once per
 	// admitted session, wraps at 256).
 	TableImpl       string
@@ -468,7 +458,7 @@ func (e *Engine) Stats() Stats {
 		s.TableHitRate = hitRate(s.TTHits, s.TTProbes)
 		s.TableFill = e.table.Fill()
 		s.TableLen = e.table.Len()
-		s.TableImpl = e.table.Impl()
+		s.TableImpl = tt.ImplLockFree
 		s.TableGeneration = e.table.Generation()
 	}
 	return s

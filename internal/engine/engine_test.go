@@ -211,27 +211,3 @@ func TestConcurrentSessions(t *testing.T) {
 		t.Fatalf("Completed = %d, want 8", s.Completed)
 	}
 }
-
-// TestDeeperHitsMode sanity-checks the Plaat-style mode: analyses still
-// return legal moves and, re-analyzing shallower than a cached deeper
-// search, answer almost entirely from memory.
-func TestDeeperHitsMode(t *testing.T) {
-	// Driver pinned: near-total reuse is an aspiration-loop property — the
-	// probe drivers mostly store bound entries on the first pass, which a
-	// shallower re-analysis cannot answer exact queries from.
-	e := New(Config{Driver: "aspiration", Workers: 2, SerialDepth: 2, TableBits: 16, DeeperHits: true})
-	pos := connect4.New()
-	if _, err := e.Analyze(context.Background(), pos, 8); err != nil {
-		t.Fatal(err)
-	}
-	an, err := e.Analyze(context.Background(), pos, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an.Move < 0 || an.Move >= 7 || !an.Completed {
-		t.Fatalf("deeper-hits reanalysis broken: %+v", an)
-	}
-	if an.Nodes > 1000 {
-		t.Fatalf("deeper-hits reanalysis searched %d nodes, expected near-total reuse", an.Nodes)
-	}
-}

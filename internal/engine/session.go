@@ -20,8 +20,8 @@ type Iteration struct {
 	Depth      int        // search depth of this iteration
 	Move       int        // best child index (natural move order)
 	Value      game.Value // root value, from the side to move
-	Researches int        // wide-window re-searches (aspiration reopens, probe fallback)
-	Probes     int        // null-window probes (mtdf/bns drivers)
+	Researches int        // wide-window re-searches (aspiration reopens)
+	Probes     int        // null-window probes (mtdf driver)
 	Nodes      int64      // tree nodes generated during this iteration
 	Steals     int64      // sharded-heap steals during this iteration
 	// HeapPeak is the largest problem-heap occupancy sampled during this
@@ -106,7 +106,7 @@ type SessionOptions struct {
 	// admission.
 	Backend string
 	// Driver overrides the engine's configured root driver for this session
-	// ("aspiration", "mtdf", "bns"); empty uses the engine default. An
+	// ("aspiration" or "mtdf"); empty uses the engine default. An
 	// unregistered name fails the session with ErrUnknownDriver before
 	// admission.
 	Driver string
@@ -153,8 +153,7 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 	e.cfg.Telemetry.recordDriverSession(e.name(), drv.Name())
 	if e.table != nil {
 		// One admitted session = one aging tick: entries untouched since
-		// earlier sessions lose replacement priority in the lock-free table
-		// (the striped baseline records the generation but does not age).
+		// earlier sessions lose replacement priority.
 		e.table.NewSearch()
 	}
 

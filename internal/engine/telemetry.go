@@ -46,7 +46,7 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 		drivers: reg.CounterVec("engine_driver_sessions_total",
 			"Admitted analysis sessions by root driver.", "game", "driver"),
 		probes: reg.CounterVec("engine_driver_probes_total",
-			"Null-window root probes spent by mtdf/bns driver resolutions.", "game", "driver"),
+			"Null-window root probes spent by mtdf driver resolutions.", "game", "driver"),
 		latency: reg.HistogramVec("engine_session_duration_seconds",
 			"Session wall-clock duration.", telemetry.LatencyBuckets(), "game", "outcome"),
 		admitWait: reg.HistogramVec("engine_admission_wait_seconds",

@@ -73,7 +73,7 @@ func TestTelemetryNilIsSafe(t *testing.T) {
 	tel.recordSession("x", outcomeCompleted, time.Second, 3, 0, 10)
 	tel.recordRejection("x")
 	tel.recordCore("x", backend.Totals{SerialTasks: 1})
-	tel.recordTable("x", tt.NewDefault(8, 0), 0.5)
+	tel.recordTable("x", tt.NewLockFree(8), 0.5)
 }
 
 // TestAnalyzeTraceCollectsWorkerSpans: a traced session returns merged

@@ -123,11 +123,10 @@ func (b *Backend) Search(req backend.Request) (backend.Response, error) {
 func (b *Backend) worker(id int, kids []game.Position, req backend.Request, stop <-chan struct{}) (backend.RootResult, backend.Totals, bool) {
 	var tot backend.Totals
 	sc := &backend.TTScout{
-		Order:      b.cfg.Order,
-		Table:      b.cfg.Table,
-		DeeperHits: b.cfg.DeeperHits,
-		Cancel:     stop,
-		Totals:     &tot,
+		Order:  b.cfg.Order,
+		Table:  b.cfg.Table,
+		Cancel: stop,
+		Totals: &tot,
 	}
 	order := rotatedOrder(req.RootOrder, len(kids), id)
 	prev := game.NoValue

@@ -36,7 +36,7 @@ func TestSearchExact(t *testing.T) {
 	want := negamax(pos, depth)
 	kids := pos.Children()
 	for _, p := range []int{1, 2, 3, 8} {
-		be := lazysmp.New(backend.Config{Workers: p, Table: tt.NewDefault(14, 0)})
+		be := lazysmp.New(backend.Config{Workers: p, Table: tt.NewLockFree(14)})
 		resp, err := be.Search(backend.Request{Pos: pos, Depth: depth, Window: game.FullWindow()})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
@@ -57,12 +57,12 @@ func TestSearchExact(t *testing.T) {
 // Search calls, each running 8 deepening workers, all pounding one shared
 // transposition table, must keep returning the exact value. This is the
 // densest table traffic the backend can generate — every worker of every
-// session probes and stores the same striped slots.
+// session probes and stores the same table slots.
 func TestSharedTableStress(t *testing.T) {
 	tr := &randtree.Tree{Seed: 7, Degree: 4, Depth: 7, ValueRange: 10000}
 	pos, depth := tr.Root(), 6
 	want := negamax(pos, depth)
-	table := tt.NewDefault(12, 4) // small table: maximum collision pressure
+	table := tt.NewLockFree(12) // small table: maximum collision pressure
 	be := lazysmp.New(backend.Config{Workers: 8, Table: table})
 	const sessions = 6
 	var wg sync.WaitGroup
@@ -98,7 +98,7 @@ func TestSharedTableStress(t *testing.T) {
 func TestCancelAborts(t *testing.T) {
 	// Deep Connect Four: far too big to finish, so cancellation is the only
 	// way out.
-	be := lazysmp.New(backend.Config{Workers: 4, Table: tt.NewDefault(14, 0)})
+	be := lazysmp.New(backend.Config{Workers: 4, Table: tt.NewLockFree(14)})
 	cancel := make(chan struct{})
 	done := make(chan struct{})
 	var resp backend.Response

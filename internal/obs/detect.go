@@ -90,11 +90,11 @@ func (d *ShedSpike) Check(v *View) []Anomaly {
 }
 
 // ProbeStorm fires when the root drivers' null-window probe traffic runs at
-// the budget-fallback rate: MTD(f) converges in a handful of probes per
-// iteration when the table feeds it consistent bounds, and the driver caps a
-// pathological non-converging iteration at its probe budget (Plaat et al.'s
-// "No" case) before falling back to a full-window search. Probes-per-iteration
-// near that cap across a whole window means the probe drivers are thrashing,
+// the bisection rate: MTD(f) converges in a handful of probes per iteration
+// when the table feeds it consistent bounds, and an iteration whose probes
+// keep contradicting each other (Plaat et al.'s "No" case) ends by bisecting
+// its envelope, near driver.ProbeBound probes. Probes-per-iteration near
+// that bound across a whole window means the probe drivers are thrashing,
 // not converging — usually concurrent table overwrites destroying the bound
 // envelope.
 type ProbeStorm struct {
@@ -119,7 +119,7 @@ func (d *ProbeStorm) Check(v *View) []Anomaly {
 	}
 	return []Anomaly{{
 		Kind: KindProbeStorm,
-		Detail: fmt.Sprintf("%.1f probes/iteration over %.1fs (%d probes, %d iterations; budget-fallback territory)",
+		Detail: fmt.Sprintf("%.1f probes/iteration over %.1fs (%d probes, %d iterations; bisection territory)",
 			per, v.Span.Seconds(), probes, iters),
 	}}
 }

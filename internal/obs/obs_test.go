@@ -166,7 +166,7 @@ func TestProbeStormFires(t *testing.T) {
 	m := newTestMonitor(t, Config{})
 	base := time.Now()
 	tick(m, base, Sample{Iterations: 100, Probes: 100})
-	// 10 iterations resolving 640 probes: budget-fallback territory.
+	// 10 iterations resolving 640 probes: bisection territory.
 	tick(m, base.Add(time.Second), Sample{Iterations: 110, Probes: 740})
 	r := m.Report()
 	if r.Totals[KindProbeStorm] != 1 {

@@ -30,7 +30,7 @@ func TestDriverPerRequest(t *testing.T) {
 	client := &http.Client{Timeout: 30 * time.Second}
 
 	values := map[string]int{}
-	for _, d := range []string{"aspiration", "mtdf", "bns"} {
+	for _, d := range []string{"aspiration", "mtdf"} {
 		var an analysisJSON
 		getJSON(t, client,
 			ts.URL+"/analyze?game=connect4&moves=3,3&depth=6&budget_ms=25000&driver="+d,
@@ -72,14 +72,14 @@ func TestDriverPerRequest(t *testing.T) {
 	var st statsJSON
 	getJSON(t, client, ts.URL+"/stats", http.StatusOK, &st)
 	c4 := st.Games["connect4"]
-	if c4.DriverSessions["aspiration"] != 1 || c4.DriverSessions["mtdf"] != 1 || c4.DriverSessions["bns"] != 1 {
+	if c4.DriverSessions["aspiration"] != 1 || c4.DriverSessions["mtdf"] != 1 {
 		t.Fatalf("connect4 driver attribution wrong: %+v", c4.DriverSessions)
 	}
 	if c4.Driver != def {
 		t.Fatalf("engine default driver %q in stats, want %q", c4.Driver, def)
 	}
 	if c4.Probes == 0 {
-		t.Fatal("stats report no probes after mtdf and bns sessions")
+		t.Fatal("stats report no probes after an mtdf session")
 	}
 
 	// /healthz names the resolved default driver.
@@ -106,7 +106,7 @@ func TestDriverValidation(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"sssstar", "aspiration", "mtdf", "bns"} {
+	for _, want := range []string{"sssstar", "aspiration", "mtdf"} {
 		if !strings.Contains(e.Error, want) {
 			t.Fatalf("400 body %q does not mention %q", e.Error, want)
 		}

@@ -30,6 +30,7 @@ import (
 	"ertree/internal/obs"
 	"ertree/internal/othello"
 	"ertree/internal/telemetry"
+	"ertree/internal/tt"
 	"ertree/internal/ttt"
 )
 
@@ -57,7 +58,7 @@ type Config struct {
 	SerialDepth   int           // serial work grain
 	Sharded       bool          // per-worker work-stealing problem heap
 	TableBits     int           // per-game shared transposition table size
-	TableImpl     string        // shared-table implementation; empty follows ERTREE_TABLE then the default
+	TableImpl     string        // shared-table implementation: empty or "lockfree", the only one
 	CacheSize     int           // completed answers retained by the single-flight cache; 0 disables
 	MaxConcurrent int           // server-wide concurrent sessions
 	QueueTimeout  time.Duration // admission-queue wait before 503
@@ -597,10 +598,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Anomalies: s.obs.AnomalyTotal(),
 	}
 	for _, e := range s.engines {
-		if t := e.Table(); t != nil {
-			out.TableImpl = t.Impl()
+		if e.Table() != nil {
+			out.TableImpl = tt.ImplLockFree
 			out.TT = &healthzTTJSON{
-				Impl:       t.Impl(),
+				Impl:       tt.ImplLockFree,
 				Fill:       sm.TTFill,
 				Len:        sm.TTLen,
 				Generation: sm.TTGenerations,

@@ -12,11 +12,10 @@ func agingValue(key uint64, depth int) game.Value {
 	return game.Value(int32(key) ^ int32(depth)<<8)
 }
 
-// TestGenerationBump pins the generation plumbing on both implementations:
-// NewSearch advances it, and it wraps at 256 without disturbing stored
-// entries.
+// TestGenerationBump pins the generation plumbing: NewSearch advances it,
+// and it wraps at 256 without disturbing stored entries.
 func TestGenerationBump(t *testing.T) {
-	for name, s := range impls(8, 2) {
+	for name, s := range impls(8) {
 		t.Run(name, func(t *testing.T) {
 			if s.Generation() != 0 {
 				t.Fatalf("fresh table generation %d", s.Generation())

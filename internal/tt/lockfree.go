@@ -20,13 +20,13 @@ import (
 // word written wins and a mixed pair is simply an empty slot to every later
 // probe.
 //
-// Replacement is bucketed and aging-aware, the policy the striped table's
-// single direct-mapped slot cannot express: three depth-preferred slots keep
-// the deepest recent results, one always-replace slot guarantees every store
-// lands somewhere, and a generation counter bumped per engine session
-// (NewSearch) ages entries so a deep stranger from a long-gone search stops
-// shutting out fresh shallow results — the failure mode behind the near-zero
-// hit rates the direct-mapped table recorded on the Table-3 workloads.
+// Replacement is bucketed and aging-aware, a policy a single direct-mapped
+// slot cannot express: three depth-preferred slots keep the deepest recent
+// results, one always-replace slot guarantees every store lands somewhere,
+// and a generation counter bumped per engine session (NewSearch) ages
+// entries so a deep stranger from a long-gone search stops shutting out
+// fresh shallow results — the failure mode behind the near-zero
+// hit rates a direct-mapped table recorded on the Table-3 workloads.
 type LockFree struct {
 	buckets []lfBucket
 	mask    uint64 // len(buckets) - 1
@@ -138,8 +138,8 @@ func (t *LockFree) refresh(b *lfBucket, i int, key, data uint64) {
 	}
 }
 
-// Probe looks up the entry for key at exactly the given depth (the striped
-// table's equal-depth semantics).
+// Probe looks up the entry for key at exactly the given depth (Table's
+// equal-depth semantics).
 func (t *LockFree) Probe(key uint64, depth int) (Entry, bool) {
 	b := t.bucket(key)
 	if i, data := b.find(key); i >= 0 {
@@ -176,9 +176,9 @@ func (t *LockFree) ProbeDeep(key uint64, depth int) (Entry, bool) {
 	return best, true
 }
 
-// Store saves a result under the striped table's Store policy: a same-key
-// store always replaces (in exact mode keys are depth-salted, so same key
-// means same depth).
+// Store saves a result under Table's Store policy: a same-key store always
+// replaces (the backends salt keys with the depth, so same key means same
+// depth).
 func (t *LockFree) Store(key uint64, depth int, value game.Value, bound Bound) {
 	t.store(key, depth, value, bound, false)
 }
@@ -241,9 +241,6 @@ func (t *LockFree) NewSearch() { t.gen.Add(1) }
 
 // Generation returns the current generation (wraps at 256).
 func (t *LockFree) Generation() uint8 { return uint8(t.gen.Load()) }
-
-// Impl names the implementation.
-func (t *LockFree) Impl() string { return ImplLockFree }
 
 // Len returns the total slot count.
 func (t *LockFree) Len() int { return len(t.buckets) * lfSlots }

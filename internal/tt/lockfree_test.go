@@ -1,31 +1,25 @@
 package tt
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"ertree/internal/game"
 )
 
-// impls builds one table per implementation for the contract tests below:
-// every SharedTable semantics test runs against both the striped baseline
-// and the lock-free table.
-func impls(bits, shards int) map[string]SharedTable {
-	return map[string]SharedTable{
-		ImplStriped:  NewShared(bits, shards),
-		ImplLockFree: NewLockFree(bits),
-	}
+// impls builds one table per implementation, keyed by its name, for the
+// contract tests below.
+func impls(bits int) map[string]SharedTable {
+	return map[string]SharedTable{ImplLockFree: NewLockFree(bits)}
 }
 
-// TestSharedTableContract runs the striped table's semantics suite against
+// TestSharedTableContract runs the shared-table semantics suite against
 // every implementation: equal-depth Probe/Store, the ProbeDeep/StoreDeep
 // memory-reuse pair, and the same-key replacement rules.
 func TestSharedTableContract(t *testing.T) {
-	for name, s := range impls(10, 4) {
+	for name, s := range impls(10) {
 		t.Run(name+"/roundtrip", func(t *testing.T) {
-			if s.Impl() != name {
-				t.Fatalf("Impl() = %q, want %q", s.Impl(), name)
-			}
 			if s.Len() != 1024 {
 				t.Fatalf("len = %d, want 1024", s.Len())
 			}
@@ -43,7 +37,7 @@ func TestSharedTableContract(t *testing.T) {
 			}
 		})
 	}
-	for name, s := range impls(8, 2) {
+	for name, s := range impls(8) {
 		t.Run(name+"/probe-deep", func(t *testing.T) {
 			s.Store(77, 6, -13, Exact)
 			if e, ok := s.ProbeDeep(77, 4); !ok || e.Value != -13 || e.Depth != 6 {
@@ -57,7 +51,7 @@ func TestSharedTableContract(t *testing.T) {
 			}
 		})
 	}
-	for name, s := range impls(8, 2) {
+	for name, s := range impls(8) {
 		t.Run(name+"/store-deep", func(t *testing.T) {
 			s.StoreDeep(99, 6, 50, Exact)
 			s.StoreDeep(99, 3, 11, Lower)
@@ -76,48 +70,33 @@ func TestSharedTableContract(t *testing.T) {
 	}
 }
 
-// TestFactory pins the implementation registry servers and CLIs validate
-// against: both names construct, empty falls back to the default, unknown
-// names error with a message naming the valid set, and NewDefault honors the
-// ERTREE_TABLE environment variable.
+// TestFactory pins the name check configurations go through: the empty name
+// and "lockfree" build the lock-free table, and any other name ("striped"
+// included) is an error naming the valid one.
 func TestFactory(t *testing.T) {
-	for _, name := range Impls() {
-		tbl, err := NewSharedTable(name, 10, 0)
+	for _, name := range []string{"", ImplLockFree} {
+		tbl, err := NewSharedTable(name, 10)
 		if err != nil {
 			t.Fatalf("NewSharedTable(%q): %v", name, err)
 		}
-		if tbl.Impl() != name {
-			t.Fatalf("NewSharedTable(%q).Impl() = %q", name, tbl.Impl())
+		if _, ok := tbl.(*LockFree); !ok || tbl.Len() != 1024 {
+			t.Fatalf("NewSharedTable(%q) built %T with %d slots", name, tbl, tbl.Len())
 		}
 	}
-	if !ValidImpl(ImplStriped) || !ValidImpl(ImplLockFree) || ValidImpl("nosuch") {
-		t.Fatal("ValidImpl misclassifies")
-	}
-	t.Setenv(EnvTable, "") // hermetic: the host may export ERTREE_TABLE
-	if tbl, err := NewSharedTable("", 10, 0); err != nil || tbl.Impl() != DefaultImpl {
-		t.Fatalf("empty impl did not fall back to %q: %v", DefaultImpl, err)
-	}
-	if _, err := NewSharedTable("nosuch", 10, 0); err == nil {
-		t.Fatal("unknown impl constructed")
-	}
-	t.Setenv(EnvTable, ImplStriped)
-	if got := NewDefault(10, 0).Impl(); got != ImplStriped {
-		t.Fatalf("NewDefault under ERTREE_TABLE=striped built %q", got)
-	}
-	t.Setenv(EnvTable, ImplLockFree)
-	if got := NewDefault(10, 0).Impl(); got != ImplLockFree {
-		t.Fatalf("NewDefault under ERTREE_TABLE=lockfree built %q", got)
+	for _, name := range []string{"striped", "nosuch"} {
+		if _, err := NewSharedTable(name, 10); err == nil || !strings.Contains(err.Error(), ImplLockFree) {
+			t.Fatalf("NewSharedTable(%q): err %v, want one naming %q", name, err, ImplLockFree)
+		}
 	}
 }
 
 // TestIsNil guards the typed-nil trap the interface seam introduces: a nil
-// pointer of either implementation wrapped in the interface must read as "no
-// table".
+// *LockFree wrapped in the interface must read as "no table".
 func TestIsNil(t *testing.T) {
-	if !IsNil(nil) || !IsNil((*Shared)(nil)) || !IsNil((*LockFree)(nil)) {
+	if !IsNil(nil) || !IsNil((*LockFree)(nil)) {
 		t.Fatal("nil table not detected")
 	}
-	if IsNil(NewLockFree(8)) || IsNil(NewShared(8, 2)) {
+	if IsNil(NewLockFree(8)) {
 		t.Fatal("live table read as nil")
 	}
 }
@@ -231,9 +210,8 @@ func TestLockFreeTornWriteAdversarial(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLockFreeConcurrentStress is the striped table's whole-table stress run
-// against the lock-free implementation: spread keys, mixed probe/store
-// traffic, every hit well-formed, Fill in range.
+// TestLockFreeConcurrentStress is the whole-table stress run: spread keys,
+// mixed probe/store traffic, every hit well-formed, Fill in range.
 func TestLockFreeConcurrentStress(t *testing.T) {
 	const (
 		workers = 8
@@ -276,11 +254,11 @@ func TestLockFreeConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestFillSampling pins the O(sample) Fill estimates of both
-// implementations: exact on small tables, within a factor-of-two band on
-// tables past the sample budget at a known uniform occupancy.
+// TestFillSampling pins the O(sample) Fill estimate: exact on small tables,
+// within a factor-of-two band on tables past the sample budget at a known
+// uniform occupancy.
 func TestFillSampling(t *testing.T) {
-	for name, s := range impls(8, 2) {
+	for name, s := range impls(8) {
 		t.Run(name+"/small-exact", func(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				s.Store(uint64(i)*2654435761+1, 3, 1, Exact)
@@ -292,7 +270,7 @@ func TestFillSampling(t *testing.T) {
 	}
 	// 2^20 slots, every slot's key visited: occupancy ~50% by storing every
 	// other hash. The estimate must land in a loose band around the truth.
-	for name, s := range impls(20, 0) {
+	for name, s := range impls(20) {
 		t.Run(name+"/large-estimate", func(t *testing.T) {
 			stored := 0
 			for i := 0; i < 1<<19; i++ {
@@ -307,13 +285,14 @@ func TestFillSampling(t *testing.T) {
 	}
 }
 
-// TestSharedFillDoesNotBlockWriters asserts the striped Fill samples bounded
-// slices per stripe: a scrape of a large table must complete while writers
-// keep storing (the regression was a full-stripe scan under each shard
-// mutex). This is a liveness smoke, not a timing benchmark: interleaved
-// scrapes and stores simply must all finish.
+// TestSharedFillDoesNotBlockWriters asserts a Fill scrape of a large table
+// completes, in range, while writers keep storing: Fill samples a bounded
+// prefix with atomic loads and takes no lock, so a /stats scrape never
+// stalls the searches. Run under -race it also checks Fill's loads against
+// the concurrent stores. This is a liveness smoke, not a timing benchmark:
+// interleaved scrapes and stores simply must all finish.
 func TestSharedFillDoesNotBlockWriters(t *testing.T) {
-	s := NewShared(20, 4) // 256k slots per stripe: a full scan would dwarf the stores
+	s := NewLockFree(20) // 1M slots: a full scan would dwarf the stores
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
