@@ -61,7 +61,7 @@ func main() {
 		timeline    = flag.Bool("timeline", false, "with er-par: print the worker-utilization timeline")
 		traceOut    = flag.String("trace", "", "with er-par/er-real: write a Chrome trace_event JSON (open in Perfetto) to this file")
 		bestLine    = flag.Bool("bestmove", false, "also print the best move and principal variation (parallel ER)")
-		tableBits   = flag.Int("table-bits", 0, "with er-real: back serial tasks with a shared transposition table of 2^bits slots (0 disables)")
+		tableBits   = flag.Int("table-bits", 0, "with er-real: give the search a shared transposition table of 2^bits slots (0 disables)")
 		flightOn    = flag.Bool("flight", false, "with er-real: record the search flight log and print the speculation-waste report")
 		obsOn       = flag.Bool("obs", false, "with -driver: run the self-monitor during the session and print its report after")
 		mutexProf   = flag.String("mutexprofile", "", "write a mutex-contention profile to this file (er-real lock interference)")

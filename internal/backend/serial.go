@@ -48,10 +48,10 @@ func (b *serialBackend) Search(req Request) (Response, error) {
 // TTScout is a cancellable fail-soft scout (PVS) searcher over a shared
 // transposition table, exported so internal/lazysmp's deepening workers run
 // the exact same node semantics as the serial backend. Every node that
-// implements tt.Hashable is probed before expansion and its fail-soft result
-// stored after, through ttPolicy (depth-salted keys with equal-depth
-// matching), so the cached bounds keep every returned value the sound
-// depth-limited negamax bound.
+// implements tt.Hashable is probed before expansion (a bound inside the
+// window narrows it) and its fail-soft result stored after, under the one
+// keying (tt.Key, equal-depth matching), so the cached bounds keep every
+// returned value the sound depth-limited negamax bound.
 // Not safe for concurrent use; each worker owns one.
 type TTScout struct {
 	Order  game.Orderer
@@ -60,7 +60,8 @@ type TTScout struct {
 	// Totals receives the node and table accounting. Must be non-nil.
 	Totals *Totals
 
-	steps int64 // cancellation-check pacing
+	steps int64     // cancellation-check pacing
+	tt    tt.Counts // table traffic of the search in progress
 }
 
 // cancelCheckMask paces the Cancel poll: every 256 recursion entries, cheap
@@ -86,7 +87,10 @@ func (s *TTScout) checkCancel() error {
 
 // Search returns the fail-soft value of pos at exactly depth under w.
 func (s *TTScout) Search(pos game.Position, depth int, w game.Window) (game.Value, error) {
-	return s.search(pos, depth, 0, w)
+	v, err := s.search(pos, depth, 0, w)
+	s.Totals.addTT(s.tt)
+	s.tt = tt.Counts{}
+	return v, err
 }
 
 func (s *TTScout) search(pos game.Position, depth, ply int, w game.Window) (game.Value, error) {
@@ -97,10 +101,15 @@ func (s *TTScout) search(pos game.Position, depth, ply int, w game.Window) (game
 		s.Totals.LeafTasks++
 		return pos.Value(), nil
 	}
-	policy := ttPolicy{table: s.Table}
-	cached, done, key, hashable := policy.probeChild(pos, depth, &w, s.Totals)
-	if done {
-		return cached, nil
+	var h uint64
+	hashable := false
+	if !tt.IsNil(s.Table) {
+		h, hashable = tt.Hash(pos)
+	}
+	if hashable {
+		if v, ok := s.tt.Lookup(s.Table, h, depth, &w); ok {
+			return v, nil
+		}
 	}
 	kids := pos.Children()
 	if len(kids) == 0 {
@@ -148,7 +157,7 @@ func (s *TTScout) search(pos game.Position, depth, ply int, w game.Window) (game
 		// Classify against the (possibly table-narrowed) window actually
 		// searched; equal-depth matching keeps the narrowed bounds, and so
 		// the classification, sound.
-		policy.storeChild(key, depth, m, w, s.Totals)
+		s.tt.Record(s.Table, h, depth, m, w)
 	}
 	return m, nil
 }

@@ -57,7 +57,8 @@ const (
 	// resolved) between task start and completion, or its combine arrived
 	// after the parent was already done.
 	EvDiscard
-	// EvTTCutoff is a serial task answered by the transposition table alone.
+	// EvTTCutoff is a shared-tree node the transposition table settled
+	// before it was expanded.
 	EvTTCutoff
 	// EvSteal is a task taken from another worker's heap shard.
 	EvSteal

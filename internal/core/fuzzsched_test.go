@@ -177,8 +177,9 @@ func verifyHeapConservation(t testing.TB, s *state) {
 	}
 }
 
-// runFuzzCase executes one configuration against the oracle. Called only
-// from sequential tests (testStateHook is a package global).
+// runFuzzCase executes one configuration against the oracle, and with a
+// table attached audits every entry the searches stored (audit_test.go).
+// Called only from sequential tests (testStateHook is a package global).
 func runFuzzCase(t testing.TB, c fuzzCase) {
 	t.Helper()
 	want := oracle(c.tree.Root(), c.depth)
@@ -205,6 +206,9 @@ func runFuzzCase(t testing.TB, c fuzzCase) {
 
 	if c.drv != "" {
 		runFuzzDriver(t, c)
+	}
+	if c.withTT {
+		auditTable(t, c.opt.Table, c.tree.Root(), c.depth)
 	}
 }
 

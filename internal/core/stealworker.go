@@ -23,10 +23,7 @@ import "time"
 // lock-held epilogue is the only wake source left. The regression for this
 // is TestShardedDrainNoLivelock.
 func (s *state) workerSharded(w *wctx) {
-	defer func() {
-		s.stats.Merge(w.stats.Snapshot())
-		w.flush()
-	}()
+	defer s.workerDone(w)
 	rt := w.rt
 	for {
 		n, fromSpec := s.takeTask(w)
@@ -70,6 +67,7 @@ func (s *state) workerSharded(w *wctx) {
 		}
 		s.runTask(n, fromSpec, w)
 		rt.Unlock()
+		s.flushStores(w)
 	}
 }
 

@@ -60,7 +60,7 @@ func (h *harness) step(t *testing.T) *node {
 	case n.examine:
 		h.s.examineTask(n, w, h.w)
 	default:
-		if !n.expanded && !h.s.expandTask(n, h.w) {
+		if !n.expanded && !h.s.expandTask(n, w, h.w) {
 			return n
 		}
 		if len(n.moves) == 0 {

@@ -1,6 +1,9 @@
 package core
 
-import "ertree/internal/game"
+import (
+	"ertree/internal/game"
+	"ertree/internal/tt"
+)
 
 // worker is the per-processor loop of §6:
 //
@@ -22,10 +25,7 @@ import "ertree/internal/game"
 // is set, telemetry spans — go to the worker's private shard, merged into
 // the run-wide sink (or delivered to the hooks) when the worker exits.
 func (s *state) worker(w *wctx) {
-	defer func() {
-		s.stats.Merge(w.stats.Snapshot())
-		w.flush()
-	}()
+	defer s.workerDone(w)
 	rt := w.rt
 	rt.Lock()
 	defer rt.Unlock()
@@ -96,9 +96,9 @@ func (s *state) runTask(n *node, fromSpec bool, w *wctx) {
 		s.examineTask(n, win, w)
 		w.taskEnd(start, TaskExamine, n.specBorn, n)
 	default:
-		if !n.expanded && !s.expandTask(n, w) {
+		if !n.expanded && !s.expandTask(n, win, w) {
 			w.taskEnd(start, TaskExpand, n.specBorn, n)
-			return // node died during expansion
+			return // node died during expansion, or the table finished it
 		}
 		if len(n.moves) == 0 {
 			s.leafTask(n, w) // terminal position above the horizon
@@ -115,6 +115,7 @@ func (s *state) runTask(n *node, fromSpec bool, w *wctx) {
 func (s *state) leafTask(n *node, w *wctx) {
 	s.leafTasks.Add(1)
 	w.rt.Unlock()
+	s.flushStores(w)
 	v := n.pos.Value()
 	w.rt.FreeWork(s.cost.Eval)
 	w.stats.AddEvaluated(1)
@@ -153,41 +154,26 @@ func (s *state) examineTask(n *node, win game.Window, w *wctx) {
 
 // subtreeTask runs one serial work unit under win: the r-child protocol when
 // examine is set, the full ER protocol otherwise. With a transposition
-// table attached the task probes before searching — a stored bound narrows
-// the window or answers the task outright — and stores its fail-soft result
-// after, classified against the window it searched, so concurrent workers
-// and later searches of the same position reuse the subtree work. A table
-// answer stands for both of the node's values. Lock held on entry and exit;
-// released around the probe, the search and the store.
+// table attached, serial ER looks up and stores every node of the subtree,
+// the task's root included, so concurrent workers and later searches of the
+// same positions reuse the subtree work. Lock held on entry and exit;
+// released around the search.
 func (s *state) subtreeTask(n *node, win game.Window, examine bool, w *wctx) {
 	s.serialTasks.Add(1)
 	w.rt.Unlock()
+	s.flushStores(w)
+	w.task = game.Stats{}
+	searcher := s.serialSearcher(w, n.ply)
 	var fig8, soft game.Value
-	answered := false
-	key, hashed := s.ttKey(n.pos)
-	if hashed {
-		soft, answered = s.ttProbe(key, n.depth, &win)
-		fig8 = soft
+	if examine {
+		fig8, soft = searcher.ExamineValues(n.pos, n.depth, win)
+	} else {
+		fig8, soft = searcher.ERValues(n.pos, n.depth, win)
 	}
-	if !answered {
-		w.task = game.Stats{}
-		searcher := s.serialSearcher(&w.task, n.ply)
-		if examine {
-			fig8, soft = searcher.ExamineValues(n.pos, n.depth, win)
-		} else {
-			fig8, soft = searcher.ERValues(n.pos, n.depth, win)
-		}
-		snap := w.task.Snapshot()
-		w.rt.FreeWork(s.taskCost(snap))
-		w.stats.Merge(snap)
-		if hashed {
-			s.ttStore(key, n.depth, win, soft)
-		}
-	}
+	snap := w.task.Snapshot()
+	w.rt.FreeWork(s.taskCost(snap))
+	w.stats.Merge(snap)
 	w.rt.Lock()
-	if answered {
-		w.event(Event{Kind: EvTTCutoff, Seq: n.seq, Spec: n.specBorn, Ply: int32(n.ply)})
-	}
 	if !n.alive() {
 		s.dropped.Add(1)
 		w.event(Event{Kind: EvDiscard, Seq: n.seq, Spec: n.specBorn, Ply: int32(n.ply)})
@@ -198,30 +184,66 @@ func (s *state) subtreeTask(n *node, win game.Window, examine bool, w *wctx) {
 
 // expandTask generates and orders n's child positions outside the lock.
 // Children of e-nodes are not statically sorted (§7): the elder-grandchild
-// protocol orders them by tentative value instead. Returns false if the node
-// died meanwhile. Lock held on entry and exit.
-func (s *state) expandTask(n *node, w *wctx) bool {
+// protocol orders them by tentative value instead, and the root's follow
+// Options.RootOrder when one is given. With a table attached, a node other
+// than the root is first looked up under its window win, and an entry that
+// settles it finishes it unexpanded. Returns false if the node died
+// meanwhile or the table finished it. Lock held on entry and exit.
+func (s *state) expandTask(n *node, win game.Window, w *wctx) bool {
 	// Capture the node type before dropping the lock: startRefutation can
 	// retype this node to an r-node concurrently, and the ordering decision
 	// must use one coherent value (the type it had when expansion began).
 	isENode := n.typ == eNode
+	isRoot := n.parent == nil
 	w.rt.Unlock()
-	moves := n.pos.Children()
+	s.flushStores(w)
+	var (
+		moves    []game.Position
+		answer   game.Value
+		answered bool
+	)
+	var h uint64
+	hashed := false
+	if s.opt.Table != nil && !isRoot {
+		if h, hashed = tt.Hash(n.pos); hashed {
+			answer, answered = w.tt.Lookup(s.opt.Table, h, n.depth, &win)
+		}
+	}
 	var sortEvals int64
-	if len(moves) > 1 && !isENode {
-		o := s.orderer()
-		sortEvals = int64(o.Cost(len(moves), n.ply))
-		moves = o.Order(moves, n.ply)
+	switch {
+	case answered:
+	case isRoot && s.opt.RootOrder != nil:
+		moves = orderRoot(n.pos.Children(), s.opt.RootOrder)
+	default:
+		moves = n.pos.Children()
+		if len(moves) > 1 && !isENode {
+			o := s.orderer()
+			sortEvals = int64(o.Cost(len(moves), n.ply))
+			moves = o.Order(moves, n.ply)
+		}
 	}
 	w.rt.FreeWork(sortEvals * s.cost.Eval)
 	w.stats.AddSortEvals(sortEvals)
 	w.rt.Lock()
+	if answered {
+		w.event(Event{Kind: EvTTCutoff, Seq: n.seq, Spec: n.specBorn, Ply: int32(n.ply)})
+	}
 	if !n.alive() {
 		s.dropped.Add(1)
 		w.event(Event{Kind: EvDiscard, Seq: n.seq, Spec: n.specBorn, Ply: int32(n.ply)})
 		return false
 	}
+	if answered {
+		s.finish(n, answer, answer, w)
+		return false
+	}
 	n.moves = moves
 	n.expanded = true
+	if isRoot && len(moves) > 0 {
+		s.rootScores = make([]game.Value, len(moves))
+		for i := range s.rootScores {
+			s.rootScores[i] = game.NoValue
+		}
+	}
 	return true
 }

@@ -69,8 +69,8 @@ func (c countedTable) StoreDeep(key uint64, depth int, v game.Value, b tt.Bound)
 }
 
 // TestTTTrafficCountedOnce: Stats counts every table operation of a session
-// exactly once. The backends' searches count theirs in their Totals; the
-// session counts its root-ordering probes, one per root child, in its own.
+// exactly once. The backends' searches count theirs in their Totals, and the
+// session issues none of its own.
 func TestTTTrafficCountedOnce(t *testing.T) {
 	positions := []game.Position{connect4.New().MustDrop(3, 3, 2), othello.Start()}
 	for _, be := range []string{"er", "serial", "lazysmp"} {
@@ -84,24 +84,20 @@ func TestTTTrafficCountedOnce(t *testing.T) {
 					Backend: "counted-" + be, Driver: drv, Workers: workers,
 					SerialDepth: 3, TableBits: 16,
 				})
-				var rootChildren int64
 				for _, pos := range positions {
 					if _, err := e.Analyze(context.Background(), pos, 5); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					rootChildren += int64(len(pos.Children()))
 				}
 				st := e.Stats()
 				if st.TTStores != tableStores.Load() {
 					t.Errorf("%s: TTStores %d, the table saw %d stores", name, st.TTStores, tableStores.Load())
 				}
-				if want := tableProbes.Load() + rootChildren; st.TTProbes != want {
-					t.Errorf("%s: TTProbes %d, want the searches' %d + %d root-ordering probes",
-						name, st.TTProbes, tableProbes.Load(), rootChildren)
+				if st.TTProbes != tableProbes.Load() {
+					t.Errorf("%s: TTProbes %d, the table saw %d probes", name, st.TTProbes, tableProbes.Load())
 				}
-				if hits := tableHits.Load(); st.TTHits < hits || st.TTHits > hits+rootChildren {
-					t.Errorf("%s: TTHits %d outside the searches' %d + at most %d root-ordering hits",
-						name, st.TTHits, hits, rootChildren)
+				if st.TTHits != tableHits.Load() {
+					t.Errorf("%s: TTHits %d, the table saw %d hits", name, st.TTHits, tableHits.Load())
 				}
 			}
 		}

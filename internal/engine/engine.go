@@ -202,8 +202,7 @@ type Counters struct {
 
 	// Totals is the search work of every session: nodes, core tasks, heap
 	// traffic, and every transposition probe, hit and store, each counted
-	// once by the code that issued it (the backends' searches, and the
-	// sessions' root-ordering probes).
+	// once by the backend search that issued it.
 	backend.Totals
 }
 

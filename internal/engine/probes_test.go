@@ -32,15 +32,18 @@ func midgame(start game.Position, plies int, seed int64) game.Position {
 }
 
 // TestMTDFProbesERMatchesSerial checks that MTD(f) converges as fast on the
-// er backend as on the serial one. MTD(f) is cheap only when each
-// null-window probe returns a tight fail-soft bound; a backend that returns
-// the window edge makes it step one unit per probe. Single-worker sessions
-// deepen seeded Othello, Connect Four and checkers midgames to the depths
-// and serial grains of the benchmark's MTD(f) workload, each game on one
-// engine per backend so both tables see the same sequence of positions.
-// The er backend may spend at most twice the serial backend's probes.
+// er backend as on the serial one, and about as cheaply. MTD(f) is cheap
+// only when each null-window probe returns a tight fail-soft bound (a
+// backend that returns the window edge makes it step one unit per probe)
+// and when the search keeps the bounds of interior nodes in memory across
+// probes (Plaat et al.). Single-worker sessions deepen seeded Othello,
+// Connect Four and checkers midgames to the depths and serial grains of the
+// benchmark's MTD(f) workload, each game on one engine per backend so both
+// tables see the same sequence of positions. The er backend may spend at
+// most twice the serial backend's probes and generate at most 1.5 times its
+// nodes.
 func TestMTDFProbesERMatchesSerial(t *testing.T) {
-	const positions, maxRatio = 6, 2.0
+	const positions, maxRatio, maxNodeRatio = 6, 2.0, 1.5
 	for _, g := range []struct {
 		name               string
 		start              game.Position
@@ -53,6 +56,7 @@ func TestMTDFProbesERMatchesSerial(t *testing.T) {
 		{"checkers", checkers.Start(), 10, game.StaticOrder{MaxPly: 5}, 5, 3},
 	} {
 		probes := map[string]int{}
+		nodes := map[string]int64{}
 		for _, be := range []string{"serial", "er"} {
 			e := New(Config{
 				Name: g.name, Backend: be, Driver: "mtdf", Workers: 1,
@@ -71,6 +75,7 @@ func TestMTDFProbesERMatchesSerial(t *testing.T) {
 				for _, it := range an.Iterations {
 					probes[be] += it.Probes
 				}
+				nodes[be] += an.Nodes
 			}
 		}
 		ratio := float64(probes["er"]) / float64(probes["serial"])
@@ -79,6 +84,12 @@ func TestMTDFProbesERMatchesSerial(t *testing.T) {
 		if ratio > maxRatio {
 			t.Errorf("%s: er+mtdf spent %.2fx the probes of serial+mtdf (%d vs %d), want at most %.1fx",
 				g.name, ratio, probes["er"], probes["serial"], maxRatio)
+		}
+		nodeRatio := float64(nodes["er"]) / float64(nodes["serial"])
+		t.Logf("%s: %d nodes on er, %d on serial (%.2fx)", g.name, nodes["er"], nodes["serial"], nodeRatio)
+		if nodeRatio > maxNodeRatio {
+			t.Errorf("%s: er+mtdf generated %.2fx the nodes of serial+mtdf (%d vs %d), want at most %.1fx",
+				g.name, nodeRatio, nodes["er"], nodes["serial"], maxNodeRatio)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"ertree/internal/core"
 	"ertree/internal/driver"
 	"ertree/internal/game"
-	"ertree/internal/tt"
 )
 
 // Iteration reports one completed depth of a session's iterative deepening.
@@ -186,7 +185,6 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 	for i := range s.order {
 		s.order[i] = i
 	}
-	s.primeScores()
 
 	an := &Analysis{Label: opts.Label, Backend: be.Name(), Driver: drv.Name(), Move: -1}
 	researches, probes := 0, 0
@@ -350,36 +348,6 @@ func (s *session) searchRoot(depth int, w game.Window) (bestIdx int, best game.V
 		}
 	}
 	return resp.Move, resp.Value, nil
-}
-
-// primeScores seeds the root move ordering from the shared table before the
-// first iteration: each child position is probed under its bare hash at any
-// depth — the keying the core workers store under while searching subtrees —
-// so a warm table (an earlier session on the same line, or the core's own
-// in-search stores) orders the root moves before a single node is searched.
-// The cached values are bounds of mixed depths, which is fine: they steer
-// ordering only; exactness comes from the searches themselves. The probes
-// and hits count into the session's totals like the searches' own.
-func (s *session) primeScores() {
-	if s.e.table == nil {
-		return
-	}
-	primed := false
-	for i, k := range s.kids {
-		h, ok := k.(tt.Hashable)
-		if !ok {
-			return
-		}
-		s.tot.TTProbes++
-		if en, ok := s.e.table.ProbeDeep(h.Hash(), 0); ok {
-			s.tot.TTHits++
-			s.scores[i] = -en.Value
-			primed = true
-		}
-	}
-	if primed {
-		s.reorder()
-	}
 }
 
 // reorder sorts the search order by the latest scores, best first, keeping

@@ -51,6 +51,24 @@ func pollObsTotals(t *testing.T, client *http.Client, base, kind string) obsRepo
 	}
 }
 
+// awaitObsSample polls /debug/obs until the sampler has taken its first
+// sample (or the deadline passes).
+func awaitObsSample(t *testing.T, client *http.Client, base string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var rep obsReportWire
+		getJSON(t, client, base+"/debug/obs", http.StatusOK, &rep)
+		if len(rep.Samples) > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the obs sampler took no sample within the deadline")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // obsReportWire decodes the /debug/obs JSON from the client side, proving the
 // wire shape erload and operators consume.
 type obsReportWire struct {
@@ -219,6 +237,10 @@ func TestAnomalyInjectionProbeStorm(t *testing.T) {
 		ObsDetectors: []obs.Detector{&obs.ProbeStorm{MaxPerIteration: 0.5, MinIterations: 2}},
 	})
 	client := &http.Client{Timeout: 10 * time.Second}
+	// The detector reads deltas between samples, so the sessions must land
+	// after the sampler's first sample: sessions that all finish before it
+	// leave no delta to see.
+	awaitObsSample(t, client, ts.URL)
 	for i := 0; i < 3; i++ {
 		getJSON(t, client,
 			fmt.Sprintf("%s/bestmove?game=connect4&moves=%d&depth=6&budget_ms=2000&driver=mtdf", ts.URL, i),
