@@ -9,11 +9,12 @@
 //     search per request with the root expanded — the scheme this
 //     repository reproduces.
 //   - "serial":  single-threaded scout/PVS over the shared transposition
-//     table — the one-processor reference every parallel curve is divided
-//     by.
-//   - "lazysmp": independent iterative-deepening workers sharing only the
-//     transposition table (internal/lazysmp) — the Crafty/Lazy-SMP lineage
-//     the paper never got to compare against.
+//     table (serial.PVSRoot, on serial ER's allocation-free child path) —
+//     the one-processor reference every parallel curve is divided by.
+//   - "lazysmp": independent iterative-deepening workers, each deepening
+//     with the serial backend and sharing only the transposition table
+//     (internal/lazysmp) — the Crafty/Lazy-SMP lineage the paper never got
+//     to compare against.
 //
 // The contract every backend honors: Search(Request) returns the fail-soft
 // value of Request.Pos at exactly Request.Depth under Request.Window (a
@@ -255,60 +256,6 @@ func NamesString() string {
 		s += n
 	}
 	return s
-}
-
-// ChildSearcher evaluates one root child to the given remaining depth under
-// a fail-soft window (from the child's own point of view).
-type ChildSearcher func(child game.Position, depth int, w game.Window) (game.Value, error)
-
-// RootResult is the outcome of one fail-soft root loop.
-type RootResult struct {
-	// Value is the fail-soft root value, Move the natural child index proving
-	// it (-1 if no child was searched).
-	Value game.Value
-	Move  int
-	// Scores holds the root-view score per child in natural order;
-	// game.NoValue marks children the loop never reached.
-	Scores []game.Value
-}
-
-// RootScout drives the fail-soft root loop of the scout backends: children
-// are tried in the given order under a running lower bound of the best score
-// so far, so refuted moves cut quickly on a null-ish window while the best
-// move's score stays exact within the request window. The serial backend
-// runs it once per request and internal/lazysmp's deepening workers once
-// per iteration; the er backend's root is the ER search's own.
-func RootScout(kids []game.Position, depth int, w game.Window, order []int, search ChildSearcher) (RootResult, error) {
-	r := RootResult{Move: -1, Value: -game.Inf, Scores: make([]game.Value, len(kids))}
-	for i := range r.Scores {
-		r.Scores[i] = game.NoValue
-	}
-	if order == nil {
-		order = make([]int, len(kids))
-		for i := range order {
-			order[i] = i
-		}
-	}
-	for _, idx := range order {
-		a := w.Alpha
-		if r.Value > a {
-			a = r.Value
-		}
-		if a >= w.Beta {
-			break // the window is closed: the search fails high
-		}
-		cw := game.Window{Alpha: -w.Beta, Beta: -a}
-		v, err := search(kids[idx], depth-1, cw)
-		if err != nil {
-			return r, err
-		}
-		nv := -v
-		r.Scores[idx] = nv
-		if nv > r.Value || r.Move < 0 {
-			r.Value, r.Move = nv, idx
-		}
-	}
-	return r, nil
 }
 
 // LeafResponse answers a request whose position is terminal or searched at

@@ -2,7 +2,9 @@ package backend_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"ertree/internal/backend"
@@ -122,37 +124,87 @@ func TestBackendInvarianceNoTable(t *testing.T) {
 	}
 }
 
-// TestBackendFailSoftWindows checks the fail-soft contract on every backend:
-// under a window that excludes the true value, the returned value must be a
-// correct bound on the oracle's value (upper when failing low, lower when
-// failing high), and Exact must be false.
+// TestBackendFailSoftWindows checks the fail-soft contract on every backend,
+// with and without a table: under a window that excludes the true value, the
+// returned value must be a correct bound on the oracle's value (upper when
+// failing low, lower when failing high), and Exact must be false.
 func TestBackendFailSoftWindows(t *testing.T) {
 	tr := &randtree.Tree{Seed: 5, Degree: 4, Depth: 6, ValueRange: 10000}
 	pos, depth := tr.Root(), 5
 	truth := negamax(pos, depth)
 	for _, name := range backend.Names() {
-		be, err := backend.New(name, backend.Config{Workers: 2, SerialDepth: 2, Table: tt.NewLockFree(12)})
+		for _, withTable := range []bool{false, true} {
+			cfg := backend.Config{Workers: 2, SerialDepth: 2}
+			if withTable {
+				cfg.Table = tt.NewLockFree(12)
+			}
+			be, err := backend.New(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A window strictly above the true value (the search must fail
+			// low with an upper bound on the truth), then one strictly below
+			// (fail high with a lower bound).
+			for _, w := range []game.Window{
+				{Alpha: truth + 10, Beta: truth + 20},
+				{Alpha: truth - 20, Beta: truth - 10},
+			} {
+				resp, err := be.Search(backend.Request{Pos: pos, Depth: depth, Window: w})
+				if err != nil {
+					t.Fatalf("%s table=%v window (%d,%d): %v", name, withTable, w.Alpha, w.Beta, err)
+				}
+				if resp.Exact {
+					t.Fatalf("%s table=%v window (%d,%d): a search outside the window claims exactness",
+						name, withTable, w.Alpha, w.Beta)
+				}
+				if !w.FailSoft(resp.Value, truth) {
+					t.Fatalf("%s table=%v window (%d,%d): value %d is not a fail-soft result for %d",
+						name, withTable, w.Alpha, w.Beta, resp.Value, truth)
+				}
+			}
+		}
+	}
+}
+
+// plyRecorder is an Orderer that keeps natural order and records every ply
+// it is asked to order children at.
+type plyRecorder struct {
+	mu    sync.Mutex
+	plies map[int]bool
+}
+
+func (r *plyRecorder) Order(kids []game.Position, ply int) []game.Position {
+	r.mu.Lock()
+	r.plies[ply] = true
+	r.mu.Unlock()
+	return kids
+}
+
+func (r *plyRecorder) Cost(n, ply int) int { return 0 }
+
+// TestBackendsOrderAtTruePlies checks that every backend passes its orderer
+// the true distance from the game root, the root's children being ply 1, so
+// a ply-limited ordering policy (StaticOrder's MaxPly) sorts the same plies
+// whichever backend searches.
+func TestBackendsOrderAtTruePlies(t *testing.T) {
+	pos, depth := othello.Start(), 5
+	want := []int{1, 2, 3, 4}
+	for _, name := range backend.Names() {
+		rec := &plyRecorder{plies: map[int]bool{}}
+		be, err := backend.New(name, backend.Config{Workers: 2, SerialDepth: 2, Order: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A window strictly above the true value (the search must fail low
-		// with an upper bound on the truth), then one strictly below (fail
-		// high with a lower bound).
-		for _, w := range []game.Window{
-			{Alpha: truth + 10, Beta: truth + 20},
-			{Alpha: truth - 20, Beta: truth - 10},
-		} {
-			resp, err := be.Search(backend.Request{Pos: pos, Depth: depth, Window: w})
-			if err != nil {
-				t.Fatalf("%s window (%d,%d): %v", name, w.Alpha, w.Beta, err)
-			}
-			if resp.Exact {
-				t.Fatalf("%s window (%d,%d): a search outside the window claims exactness", name, w.Alpha, w.Beta)
-			}
-			if !w.FailSoft(resp.Value, truth) {
-				t.Fatalf("%s window (%d,%d): value %d is not a fail-soft result for %d",
-					name, w.Alpha, w.Beta, resp.Value, truth)
-			}
+		if _, err := be.Search(backend.Request{Pos: pos, Depth: depth, Window: game.FullWindow()}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got []int
+		for p := range rec.plies {
+			got = append(got, p)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s ordered children at plies %v, want %v", name, got, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"ertree/internal/game"
 	"ertree/internal/randtree"
+	"ertree/internal/serial"
 	"ertree/internal/tt"
 )
 
@@ -143,13 +144,45 @@ func checkRootMove(t *testing.T, a *tableAudit, root game.Position, depth int, w
 	}
 }
 
+// auditSearcher runs the i-th search of an audit: root to depth d under w,
+// on table.
+type auditSearcher func(i int, root game.Position, d int, w game.Window, order game.Orderer, table tt.SharedTable) (Result, error)
+
+// auditCore is Search. Successive searches rotate through P ∈ {1,2,3}, both
+// heaps and two serial depths, so shallow depths run as one serial task at
+// the root and deeper ones through the shared tree.
+func auditCore(i int, root game.Position, d int, w game.Window, order game.Orderer, table tt.SharedTable) (Result, error) {
+	opt := DefaultOptions()
+	opt.Workers = 1 + i%3
+	opt.Sharded = i/3%2 == 1
+	opt.SerialDepth = []int{1, 3}[i/6%2]
+	opt.Order, opt.Table, opt.RootWindow = order, table, &w
+	return Search(root, d, opt)
+}
+
+// auditScout is the serial scout's root entry, the search of the serial and
+// lazysmp backends, which can share an engine's table with Search.
+func auditScout(i int, root game.Position, d int, w game.Window, order game.Orderer, table tt.SharedTable) (Result, error) {
+	s := serial.WithTable(serial.Searcher{Order: order}, table, new(tt.Counts))
+	r, _ := serial.PVSRoot(&s, root, d, w, nil, nil)
+	return Result{Value: r.Value, Move: r.Move, Scores: r.Scores, Exact: w.Contains(r.Value)}, nil
+}
+
+// auditModes are the searcher sequences an audit runs on one table: Search
+// alone, the scout alone, and the two interleaved.
+var auditModes = []struct {
+	name      string
+	searchers []auditSearcher
+}{
+	{"core", []auditSearcher{auditCore}},
+	{"scout", []auditSearcher{auditScout}},
+	{"mixed", []auditSearcher{auditCore, auditScout}},
+}
+
 // auditSearches deepens root from depth 1 to depth on one table, searching
-// each depth under every audit window, checks each result and its root move
-// against the oracle, then audits the table. Successive searches rotate
-// through P ∈ {1,2,3}, both heaps and two serial depths, so shallow depths
-// run as one serial task at the root and deeper ones through the shared
-// tree.
-func auditSearches(t *testing.T, root game.Position, depth int, order game.Orderer) int {
+// each depth under every audit window with the searchers in turn, checks
+// each result and its root move against the oracle, then audits the table.
+func auditSearches(t *testing.T, root game.Position, depth int, order game.Orderer, searchers []auditSearcher) int {
 	t.Helper()
 	table := tt.NewLockFree(16)
 	moves := newTableAudit(table)
@@ -157,30 +190,26 @@ func auditSearches(t *testing.T, root game.Position, depth int, order game.Order
 	for d := 1; d <= depth; d++ {
 		want := oracle(root, d)
 		for _, w := range auditWindows(want) {
-			opt := DefaultOptions()
-			opt.Workers = 1 + i%3
-			opt.Sharded = i/3%2 == 1
-			opt.SerialDepth = []int{1, 3}[i/6%2]
-			opt.Order, opt.Table, opt.RootWindow = order, table, &w
-			i++
-			res, err := Search(root, d, opt)
+			res, err := searchers[i%len(searchers)](i, root, d, w, order, table)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !w.FailSoft(res.Value, want) {
-				t.Fatalf("depth %d P%d sharded=%v sd%d window (%d,%d): %d is not a fail-soft result for %d",
-					d, opt.Workers, opt.Sharded, opt.SerialDepth, w.Alpha, w.Beta, res.Value, want)
+				t.Fatalf("depth %d search %d window (%d,%d): %d is not a fail-soft result for %d",
+					d, i, w.Alpha, w.Beta, res.Value, want)
 			}
 			checkRootMove(t, moves, root, d, w, res)
+			i++
 		}
 	}
 	return auditTable(t, table, root, depth)
 }
 
 // TestTableAudit audits the table after repeated searches of random trees
-// (heavy ties included) and of Othello, Connect Four and checkers midgames.
+// (heavy ties included) and of Othello, Connect Four and checkers midgames,
+// by Search, by the serial scout, and by both on one table.
 func TestTableAudit(t *testing.T) {
-	random, games := 0, 0
+	random, games := make([]int, len(auditModes)), make([]int, len(auditModes))
 	shapes := []struct {
 		degree, depth int
 		valueRange    int32
@@ -189,19 +218,29 @@ func TestTableAudit(t *testing.T) {
 		for _, sh := range shapes {
 			tr := &randtree.Tree{Seed: seed, Degree: sh.degree, Depth: sh.depth, ValueRange: sh.valueRange}
 			t.Run(tr.String(), func(t *testing.T) {
-				random += auditSearches(t, tr.Root(), tr.Depth, nil)
+				for m, mode := range auditModes {
+					t.Run(mode.name, func(t *testing.T) {
+						random[m] += auditSearches(t, tr.Root(), tr.Depth, nil, mode.searchers)
+					})
+				}
 			})
 		}
 	}
 	for _, f := range gameFamilies(3, 4, 6, 5) {
 		for i, pos := range f.positions {
 			t.Run(fmt.Sprintf("%s%d", f.name, i), func(t *testing.T) {
-				games += auditSearches(t, pos, f.depth, f.order)
+				for m, mode := range auditModes {
+					t.Run(mode.name, func(t *testing.T) {
+						games[m] += auditSearches(t, pos, f.depth, f.order, mode.searchers)
+					})
+				}
 			})
 		}
 	}
-	t.Logf("table entries checked: %d on random trees, %d on games", random, games)
-	if random == 0 || games == 0 {
-		t.Fatal("the audit checked no entries")
+	for m, mode := range auditModes {
+		t.Logf("%s: table entries checked: %d on random trees, %d on games", mode.name, random[m], games[m])
+		if random[m] == 0 || games[m] == 0 {
+			t.Fatalf("%s: the audit checked no entries", mode.name)
+		}
 	}
 }

@@ -1,12 +1,13 @@
 // Package lazysmp implements the shared-hash-table parallel search of the
 // Crafty/Lazy-SMP lineage behind the backend seam: N independent
 // iterative-deepening workers that coordinate through nothing but the shared
-// transposition table. Each worker runs the same serial scout the "serial"
-// backend uses (backend.TTScout), but from a skewed starting depth, with a
-// skewed aspiration window on warm-up iterations and a rotated root move
-// order, so the workers explore the tree in different orders and seed the
-// table for one another. The first worker to finish the target depth under
-// the request window wins; the rest are aborted cooperatively.
+// transposition table. Each worker deepens with the "serial" backend
+// (serial.PVSRoot, expanding the root in its own pooled store), but from a
+// skewed starting depth, with a skewed aspiration window on warm-up
+// iterations and a rotated root move order, so the workers explore the tree
+// in different orders and seed the table for one another. The first worker
+// to finish the target depth under the request window wins; the rest are
+// aborted cooperatively.
 //
 // This is the architecture the 1990 ER paper never got to compare against —
 // no work queue, no speculation bookkeeping, no e-node protocol; all
@@ -27,7 +28,8 @@ func init() { backend.Register("lazysmp", New) }
 // Backend is the Lazy-SMP search scheduler. Zero coordination state lives on
 // the value, so one Backend serves concurrent searches.
 type Backend struct {
-	cfg backend.Config
+	cfg   backend.Config
+	scout backend.Backend // the serial backend every worker deepens with
 }
 
 // New builds a Lazy-SMP backend; fewer than one worker is clamped to one
@@ -37,7 +39,7 @@ func New(cfg backend.Config) backend.Backend {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	return &Backend{cfg: cfg}
+	return &Backend{cfg: cfg, scout: backend.NewSerial(cfg)}
 }
 
 // Name returns "lazysmp".
@@ -52,8 +54,9 @@ const warmDelta = 24
 // comparisons the caller should look at elapsed time, not node counts,
 // because Lazy-SMP deliberately duplicates work to fill the table.
 func (b *Backend) Search(req backend.Request) (backend.Response, error) {
-	kids := req.Pos.Children()
-	if req.Depth < 1 || len(kids) == 0 {
+	// The root's degree sizes the workers' rotated orders.
+	n := len(req.Pos.Children())
+	if req.Depth < 1 || n == 0 {
 		return backend.LeafResponse(req), nil
 	}
 
@@ -78,16 +81,16 @@ func (b *Backend) Search(req backend.Request) (backend.Response, error) {
 	var (
 		mu     sync.Mutex
 		tot    backend.Totals
-		winner *backend.RootResult
+		winner *backend.Response
 	)
 	var wg sync.WaitGroup
 	for id := 0; id < b.cfg.Workers; id++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			r, wtot, won := b.worker(id, kids, req, stop)
+			r, won := b.worker(id, n, req, stop)
 			mu.Lock()
-			tot.Add(wtot)
+			tot.Add(r.Totals)
 			if won && winner == nil {
 				winner = &r
 			}
@@ -99,36 +102,24 @@ func (b *Backend) Search(req backend.Request) (backend.Response, error) {
 	}
 	wg.Wait()
 
-	resp := backend.Response{
-		Move:    -1,
-		Totals:  tot,
-		Workers: b.cfg.Workers,
-	}
 	if winner == nil {
 		// No worker reached the target depth: only possible when the caller
 		// cancelled (workers otherwise run to completion).
-		return resp, backend.ErrAborted
+		return backend.Response{Move: -1, Totals: tot, Workers: b.cfg.Workers}, backend.ErrAborted
 	}
-	resp.Value = winner.Value
-	resp.Move = winner.Move
-	resp.Scores = winner.Scores
-	resp.Exact = req.Window.Contains(winner.Value)
+	resp := *winner
+	resp.Totals, resp.Workers = tot, b.cfg.Workers
 	return resp, nil
 }
 
 // worker runs one deepening searcher: depths start at 1+(id&1) (clamped to
 // the target) and advance by one, warm-up depths under a per-worker
 // aspiration window, the target depth under the request window. It reports
-// the target-depth root result and whether it got there before being stopped.
-func (b *Backend) worker(id int, kids []game.Position, req backend.Request, stop <-chan struct{}) (backend.RootResult, backend.Totals, bool) {
+// its last response, with the totals of every iteration, and whether that is
+// the target depth's, reached before the worker was stopped.
+func (b *Backend) worker(id, n int, req backend.Request, stop <-chan struct{}) (backend.Response, bool) {
 	var tot backend.Totals
-	sc := &backend.TTScout{
-		Order:  b.cfg.Order,
-		Table:  b.cfg.Table,
-		Cancel: stop,
-		Totals: &tot,
-	}
-	order := rotatedOrder(req.RootOrder, len(kids), id)
+	order := rotatedOrder(req.RootOrder, n, id)
 	prev := game.NoValue
 	start := 1 + (id & 1)
 	if start > req.Depth {
@@ -139,17 +130,19 @@ func (b *Backend) worker(id int, kids []game.Position, req backend.Request, stop
 		if d < req.Depth {
 			w = warmWindow(prev, id)
 		}
-		r, err := backend.RootScout(kids, d, w, order, sc.Search)
+		r, err := b.scout.Search(backend.Request{Pos: req.Pos, Depth: d, Window: w, RootOrder: order, Cancel: stop})
+		tot.Add(r.Totals)
+		r.Totals = tot
 		if err != nil {
-			return backend.RootResult{}, tot, false // stopped: a peer won or the caller cancelled
+			return r, false // stopped: a peer won or the caller cancelled
 		}
 		prev = r.Value
 		order = reorder(order, r.Scores)
 		if d == req.Depth {
-			return r, tot, true
+			return r, true
 		}
 	}
-	return backend.RootResult{}, tot, false
+	return backend.Response{Totals: tot}, false
 }
 
 // warmWindow is the aspiration window of a warm-up iteration: full for the

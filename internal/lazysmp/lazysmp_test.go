@@ -1,6 +1,7 @@
 package lazysmp_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -94,40 +95,47 @@ func TestSharedTableStress(t *testing.T) {
 }
 
 // TestCancelAborts closes the request's cancel channel mid-search and
-// requires every worker to stop promptly with ErrAborted and partial totals.
+// requires every backend to stop promptly with ErrAborted and partial
+// totals: lazysmp's workers, the serial scout and core's ER workers alike.
 func TestCancelAborts(t *testing.T) {
-	// Deep Connect Four: far too big to finish, so cancellation is the only
-	// way out.
-	be := lazysmp.New(backend.Config{Workers: 4, Table: tt.NewLockFree(14)})
-	cancel := make(chan struct{})
-	done := make(chan struct{})
-	var resp backend.Response
-	var err error
-	start := time.Now()
-	go func() {
-		defer close(done)
-		resp, err = be.Search(backend.Request{
-			Pos:    connect4.New(),
-			Depth:  40,
-			Window: game.FullWindow(),
-			Cancel: cancel,
+	for _, name := range backend.Names() {
+		t.Run(name, func(t *testing.T) {
+			// Deep Connect Four: far too big to finish, so cancellation is
+			// the only way out.
+			be, err := backend.New(name, backend.Config{Workers: 4, SerialDepth: 2, Table: tt.NewLockFree(14)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cancel := make(chan struct{})
+			done := make(chan struct{})
+			var resp backend.Response
+			start := time.Now()
+			go func() {
+				defer close(done)
+				resp, err = be.Search(backend.Request{
+					Pos:    connect4.New(),
+					Depth:  40,
+					Window: game.FullWindow(),
+					Cancel: cancel,
+				})
+			}()
+			time.Sleep(50 * time.Millisecond)
+			close(cancel)
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("search did not abort within 10s of cancellation")
+			}
+			if !errors.Is(err, backend.ErrAborted) {
+				t.Fatalf("err = %v, want ErrAborted", err)
+			}
+			if resp.Totals.Nodes == 0 {
+				t.Fatal("aborted search reported no partial totals")
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("abort took %v", elapsed)
+			}
 		})
-	}()
-	time.Sleep(50 * time.Millisecond)
-	close(cancel)
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("search did not abort within 10s of cancellation")
-	}
-	if err != backend.ErrAborted {
-		t.Fatalf("err = %v, want ErrAborted", err)
-	}
-	if resp.Totals.Nodes == 0 {
-		t.Fatal("aborted search reported no partial totals")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("abort took %v", elapsed)
 	}
 }
 

@@ -15,8 +15,6 @@ type DeepeningOptions struct {
 	// Delta is the aspiration half-window around the previous iteration's
 	// value. Zero means full-window iterations (no aspiration).
 	Delta game.Value
-	// Algorithm selects the fixed-depth search: "ab" (default) or "er".
-	Algorithm string
 }
 
 // DeepeningResult reports one iteration of the deepening driver.
@@ -26,18 +24,12 @@ type DeepeningResult struct {
 	Researches int // extra searches forced by aspiration failures
 }
 
-// IterativeDeepening runs depth 1..MaxDepth searches, steering each with an
-// aspiration window around the previous value, and returns the per-depth
-// results. The last entry's Value is the exact value at MaxDepth.
+// IterativeDeepening runs depth 1..MaxDepth alpha-beta searches, steering
+// each with an aspiration window around the previous value, and returns the
+// per-depth results. The last entry's Value is the exact value at MaxDepth.
 func (s *Searcher) IterativeDeepening(pos game.Position, opt DeepeningOptions) []DeepeningResult {
 	if opt.MaxDepth < 1 {
 		return nil
-	}
-	search := func(depth int, w game.Window) game.Value {
-		if opt.Algorithm == "er" {
-			return s.ER(pos, depth, w)
-		}
-		return s.AlphaBeta(pos, depth, w)
 	}
 	var out []DeepeningResult
 	prev := game.NoValue
@@ -48,7 +40,7 @@ func (s *Searcher) IterativeDeepening(pos game.Position, opt DeepeningOptions) [
 		}
 		res := DeepeningResult{Depth: depth}
 		for {
-			v := search(depth, w)
+			v := s.AlphaBeta(pos, depth, w)
 			if v <= w.Alpha && w.Alpha > -game.Inf {
 				// Fail low: the true value is at most v; reopen the
 				// lower half. The re-search window contains the value,

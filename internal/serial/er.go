@@ -3,7 +3,6 @@ package serial
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"ertree/internal/game"
 	"ertree/internal/tt"
@@ -87,60 +86,12 @@ func (p *erNode) raise(k *erNode) {
 	}
 }
 
-// store is one serial ER search's storage: the node records, a buffer the
-// children of one expansion are generated into, and the slab their boards
-// live in (game.Expander). Records and boards are released in stack order
-// as the recursion finishes each subtree, so what is live at once is
-// bounded by the recursion path: er holds its children and grandchildren,
-// evalFirst keeps the children it generates for its caller's refuteRest,
-// and refuteRest holds one child's children at a time. No child escapes the
-// search, which returns values only.
-type store struct {
-	recs game.Stack[erNode]
-	buf  []game.Position
-	slab game.Slab
-}
-
-// mark is a point in a store's record and board stacks.
-type mark struct{ recs, slab game.StackMark }
-
-func (st *store) mark() mark { return mark{st.recs.Mark(), st.slab.Mark()} }
-
-// release frees every record and board taken since m.
-func (st *store) release(m mark) {
-	st.recs.Release(m.recs)
-	st.slab.Release(m.slab)
-}
-
-// put releases everything the search took and returns the store to the
-// pool.
-func (st *store) put() {
-	st.release(mark{})
-	stores.Put(st)
-}
-
-// children generates pos's children into the store's buffer: through the
-// position's Expander into the slab when it has one, through Children
-// otherwise.
-func (st *store) children(pos game.Position) []game.Position {
-	if e, ok := pos.(game.Expander); ok {
-		st.buf = e.AppendChildren(st.buf[:0], &st.slab)
-	} else {
-		st.buf = append(st.buf[:0], pos.Children()...)
-	}
-	return st.buf
-}
-
-// stores recycles serial ER's storage across searches. A search takes a
-// store for its whole run and returns it empty, so concurrent searches
-// never share one and a warm store serves the next search of any game.
-var stores = sync.Pool{New: func() any { return new(store) }}
-
 // expandER generates the children of n as one run of records, taken from
 // the store: callers address a child as &kids[i], so its own expansion is
 // stored in the run too. Children of e-nodes are not statically sorted (the
 // tentative-value sort replaces it, §7); children expanded inside
-// Eval_first are sorted by the Searcher's orderer.
+// Eval_first are sorted by the Searcher's orderer. Every other serial search
+// expands through it too (expand).
 func (s *Searcher) expandER(st *store, n *erNode, sortChildren bool) []erNode {
 	if n.depth == 0 {
 		return nil

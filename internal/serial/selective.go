@@ -16,20 +16,23 @@ import "ertree/internal/game"
 // type-2 node needs its best child first to produce the cutoff, while 1-
 // and 3-nodes must examine all children anyway.
 func (s *Searcher) AlphaBetaSelectiveSort(pos game.Position, depth int, w game.Window) game.Value {
+	st := stores.Get().(*store)
+	defer st.put()
 	s.Stats.AddGenerated(1)
-	return s.alphaBetaSel(pos, depth, 0, w, 1)
+	return s.alphaBetaSel(st, pos, depth, 0, w, 1)
 }
 
-func (s *Searcher) alphaBetaSel(pos game.Position, depth, ply int, w game.Window, ntype int8) game.Value {
+func (s *Searcher) alphaBetaSel(st *store, pos game.Position, depth, ply int, w game.Window, ntype int8) game.Value {
 	if depth == 0 {
 		return s.leaf(pos, ply)
 	}
-	kids := s.expand(pos, ply, ntype == 2)
+	defer st.release(st.mark())
+	kids := s.expand(st, pos, depth, ply, ntype == 2)
 	if len(kids) == 0 {
 		return s.leaf(pos, ply)
 	}
 	m := -game.Inf
-	for i, k := range kids {
+	for i := range kids {
 		var childType int8
 		switch {
 		case ntype == 1 && i == 0:
@@ -43,7 +46,7 @@ func (s *Searcher) alphaBetaSel(pos game.Position, depth, ply int, w game.Window
 		default: // ntype == 3
 			childType = 2
 		}
-		t := -s.alphaBetaSel(k, depth-1, ply+1, w.Child(m), childType)
+		t := -s.alphaBetaSel(st, kids[i].pos, depth-1, ply+1, w.Child(m), childType)
 		if t > m {
 			m = t
 		}

@@ -1,11 +1,14 @@
 // Package serial implements the single-processor search algorithms of the
 // paper: the negmax reference procedure (§2), alpha-beta with deep cutoffs
 // (§2.1), alpha-beta without deep cutoffs (§2.2, the variant whose minimal
-// tree MWF exploits), and the serial ER algorithm of Figure 8.
+// tree MWF exploits), the serial ER algorithm of Figure 8, and the scout
+// (PVS) of its footnote 3, which the serial and lazysmp backends run.
 //
 // All algorithms are depth-limited: a position is treated as terminal when
 // the remaining depth reaches zero or it has no children, and its static
-// value is used.
+// value is used. All share one child path: each search takes a pooled store
+// (store.go) and generates children into it, so once the store is warm a
+// search allocates nothing per generated node.
 package serial
 
 import (
@@ -14,10 +17,10 @@ import (
 )
 
 // Searcher bundles the policies shared by the serial algorithms: a move
-// orderer, a statistics sink and, for serial ER, a shared table. The zero
-// value uses natural move order, discards statistics and searches without
-// memory. Serial ER takes its storage from a pool for each call (er.go), so
-// a Searcher holds no state of its own.
+// orderer, a statistics sink and, for serial ER and the scout, a shared
+// table. The zero value uses natural move order, discards statistics and
+// searches without memory. Every search takes its storage from a pool for
+// each call (store.go), so a Searcher holds no state of its own.
 type Searcher struct {
 	// Order is the move-ordering policy. Nil means game.NaturalOrder.
 	Order game.Orderer
@@ -28,18 +31,19 @@ type Searcher struct {
 	// that ply-dependent ordering policies see true plies.
 	BasePly int
 
-	// table, when non-nil, gives serial ER memory (er.go); counts receives
-	// its traffic. Both are set only through WithTable.
+	// table, when non-nil, gives serial ER (er.go) and the scout (pvs.go)
+	// memory; counts receives its traffic. Both are set only through
+	// WithTable.
 	table  tt.Prober
 	counts *tt.Counts
 }
 
-// WithTable returns s with memory for serial ER: every node of remaining
-// depth one or more is looked up in table before it is searched and its
-// fail-soft value stored after, under tt.Key, and counts receives the
-// traffic. The other algorithms ignore the table. The fields it sets are
-// unexported, so a Searcher built outside this module (the facade's Serial)
-// never carries a table.
+// WithTable returns s with memory for serial ER and the scout (PVS,
+// PVSRoot): every node of remaining depth one or more is looked up in table
+// before it is searched and its fail-soft value stored after, under tt.Key,
+// and counts receives the traffic. The other algorithms ignore the table.
+// The fields it sets are unexported, so a Searcher built outside this module
+// (the facade's Serial) never carries a table.
 func WithTable(s Searcher, table tt.Prober, counts *tt.Counts) Searcher {
 	s.table, s.counts = table, counts
 	return s
@@ -52,18 +56,14 @@ func (s *Searcher) orderer() game.Orderer {
 	return s.Order
 }
 
-// expand generates and orders the children of pos at the given ply, charging
-// generation and ordering costs. sortChildren selectively disables ordering
-// (ER does not sort successors of e-nodes, §7).
-func (s *Searcher) expand(pos game.Position, ply int, sortChildren bool) []game.Position {
-	kids := pos.Children()
-	if len(kids) > 1 && sortChildren {
-		o := s.orderer()
-		s.Stats.AddSortEvals(int64(o.Cost(len(kids), s.BasePly+ply)))
-		kids = o.Order(kids, s.BasePly+ply)
-	}
-	s.Stats.AddGenerated(int64(len(kids)))
-	return kids
+// expand generates and orders the children of pos, a node at the given ply
+// with depth left, as a run of the store's records (expandER), charging
+// generation and ordering costs. The run stays valid until the caller
+// releases the store to a mark taken before it. sortChildren selectively
+// disables ordering.
+func (s *Searcher) expand(st *store, pos game.Position, depth, ply int, sortChildren bool) []erNode {
+	n := erNode{pos: pos, depth: int32(depth), ply: int32(ply)}
+	return s.expandER(st, &n, sortChildren)
 }
 
 // leaf evaluates pos statically and charges the evaluation.
@@ -77,21 +77,24 @@ func (s *Searcher) leaf(pos game.Position, ply int) game.Value {
 // (paper §2). It visits the entire depth-limited tree and is the oracle
 // against which every other algorithm is verified.
 func (s *Searcher) Negmax(pos game.Position, depth int) game.Value {
+	st := stores.Get().(*store)
+	defer st.put()
 	s.Stats.AddGenerated(1)
-	return s.negmax(pos, depth, 0)
+	return s.negmax(st, pos, depth, 0)
 }
 
-func (s *Searcher) negmax(pos game.Position, depth, ply int) game.Value {
+func (s *Searcher) negmax(st *store, pos game.Position, depth, ply int) game.Value {
 	if depth == 0 {
 		return s.leaf(pos, ply)
 	}
-	kids := s.expand(pos, ply, false)
+	defer st.release(st.mark())
+	kids := s.expand(st, pos, depth, ply, false)
 	if len(kids) == 0 {
 		return s.leaf(pos, ply)
 	}
 	m := -game.Inf
-	for _, k := range kids {
-		if v := -s.negmax(k, depth-1, ply+1); v > m {
+	for i := range kids {
+		if v := -s.negmax(st, kids[i].pos, depth-1, ply+1); v > m {
 			m = v
 		}
 	}
@@ -101,21 +104,24 @@ func (s *Searcher) negmax(pos game.Position, depth, ply int) game.Value {
 // AlphaBeta computes the negamax value of pos using fail-soft alpha-beta
 // with deep cutoffs (§2.1). With the full window the result equals Negmax.
 func (s *Searcher) AlphaBeta(pos game.Position, depth int, w game.Window) game.Value {
+	st := stores.Get().(*store)
+	defer st.put()
 	s.Stats.AddGenerated(1)
-	return s.alphaBeta(pos, depth, 0, w)
+	return s.alphaBeta(st, pos, depth, 0, w)
 }
 
-func (s *Searcher) alphaBeta(pos game.Position, depth, ply int, w game.Window) game.Value {
+func (s *Searcher) alphaBeta(st *store, pos game.Position, depth, ply int, w game.Window) game.Value {
 	if depth == 0 {
 		return s.leaf(pos, ply)
 	}
-	kids := s.expand(pos, ply, true)
+	defer st.release(st.mark())
+	kids := s.expand(st, pos, depth, ply, true)
 	if len(kids) == 0 {
 		return s.leaf(pos, ply)
 	}
 	m := -game.Inf
-	for _, k := range kids {
-		t := -s.alphaBeta(k, depth-1, ply+1, w.Child(m))
+	for i := range kids {
+		t := -s.alphaBeta(st, kids[i].pos, depth-1, ply+1, w.Child(m))
 		if t > m {
 			m = t
 		}
@@ -133,21 +139,24 @@ func (s *Searcher) alphaBeta(pos game.Position, depth, ply int, w game.Window) g
 // them). Only the immediate parent's running value bounds the search, so the
 // alpha side of the window is never inherited across two plies.
 func (s *Searcher) AlphaBetaNoDeep(pos game.Position, depth int, beta game.Value) game.Value {
+	st := stores.Get().(*store)
+	defer st.put()
 	s.Stats.AddGenerated(1)
-	return s.alphaBetaNoDeep(pos, depth, 0, beta)
+	return s.alphaBetaNoDeep(st, pos, depth, 0, beta)
 }
 
-func (s *Searcher) alphaBetaNoDeep(pos game.Position, depth, ply int, beta game.Value) game.Value {
+func (s *Searcher) alphaBetaNoDeep(st *store, pos game.Position, depth, ply int, beta game.Value) game.Value {
 	if depth == 0 {
 		return s.leaf(pos, ply)
 	}
-	kids := s.expand(pos, ply, true)
+	defer st.release(st.mark())
+	kids := s.expand(st, pos, depth, ply, true)
 	if len(kids) == 0 {
 		return s.leaf(pos, ply)
 	}
 	m := -game.Inf
-	for _, k := range kids {
-		t := -s.alphaBetaNoDeep(k, depth-1, ply+1, -m)
+	for i := range kids {
+		t := -s.alphaBetaNoDeep(st, kids[i].pos, depth-1, ply+1, -m)
 		if t > m {
 			m = t
 		}

@@ -7,6 +7,7 @@ import (
 	"ertree/internal/game"
 	"ertree/internal/gtree"
 	"ertree/internal/randtree"
+	"ertree/internal/tt"
 )
 
 // deepNegmax is an independent oracle (does not share code with Searcher).
@@ -195,23 +196,46 @@ func TestERRefutationAccounting(t *testing.T) {
 	}
 }
 
-// TestERAllocsPerGeneratedNode pins serial ER's allocation rate: the random
-// tree writes its children into the search's pooled store (game.Expander),
-// and records and boards are reused in stack order, so once the store is
-// warm a search allocates nothing per generated node. The bound of 0.01
-// leaves room only for a store the garbage collector dropped from the pool
+// TestERAllocsPerGeneratedNode pins the allocation rate of the serial
+// searches' one child path: the random tree writes its children into the
+// search's pooled store (game.Expander), and records, child lists and boards
+// are reused in stack order, so once the store is warm a search allocates
+// nothing per generated node. It covers serial ER, the scout with and
+// without a table, its root entry (one score slice per call) and
+// alpha-beta. A search with a table builds a fresh one per run, so every run
+// searches the same tree. The bound of 0.01 leaves room only for the table,
+// the score slice and a store the garbage collector dropped from the pool
 // during the measurement.
 func TestERAllocsPerGeneratedNode(t *testing.T) {
 	root := (&randtree.Tree{Seed: 0xA110C, Degree: 4, Depth: 8, ValueRange: 10000}).Root()
-	var st game.Stats
-	(&Searcher{Stats: &st}).ER(root, 8, game.FullWindow())
-	generated := float64(st.Generated.Load())
+	full := game.FullWindow()
+	withTable := func(s *Searcher) *Searcher {
+		m := WithTable(*s, tt.NewLockFree(12), new(tt.Counts))
+		return &m
+	}
+	for _, tc := range []struct {
+		name   string
+		search func(s *Searcher)
+	}{
+		{"er", func(s *Searcher) { s.ER(root, 8, full) }},
+		{"er-table", func(s *Searcher) { withTable(s).ER(root, 8, full) }},
+		{"pvs", func(s *Searcher) { s.PVS(root, 8, full) }},
+		{"pvs-table", func(s *Searcher) { withTable(s).PVS(root, 8, full) }},
+		{"pvs-root-table", func(s *Searcher) { PVSRoot(withTable(s), root, 8, full, nil, nil) }},
+		{"alphabeta", func(s *Searcher) { s.AlphaBeta(root, 8, full) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var st game.Stats
+			tc.search(&Searcher{Stats: &st})
+			generated := float64(st.Generated.Load())
 
-	var s Searcher
-	allocs := testing.AllocsPerRun(20, func() { s.ER(root, 8, game.FullWindow()) })
-	if perNode := allocs / generated; perNode > 0.01 {
-		t.Fatalf("serial ER made %.1f allocations for %.0f generated nodes (%.4f per node), want at most 0.01",
-			allocs, generated, perNode)
+			var s Searcher
+			allocs := testing.AllocsPerRun(20, func() { tc.search(&s) })
+			if perNode := allocs / generated; perNode > 0.01 {
+				t.Fatalf("%s made %.1f allocations for %.0f generated nodes (%.4f per node), want at most 0.01",
+					tc.name, allocs, generated, perNode)
+			}
+		})
 	}
 }
 
@@ -261,7 +285,7 @@ func TestBestFirstOrderVisitsMinimalTree(t *testing.T) {
 }
 
 func TestIterativeDeepeningInternal(t *testing.T) {
-	// Degenerate inputs and the ER-based variant.
+	// Degenerate inputs and narrow aspiration windows.
 	var s Searcher
 	if out := s.IterativeDeepening(gtree.L(3), DeepeningOptions{MaxDepth: 0}); out != nil {
 		t.Fatal("MaxDepth 0 must return nil")
@@ -270,17 +294,14 @@ func TestIterativeDeepeningInternal(t *testing.T) {
 	spec := gtree.RandomSpec{MinDegree: 2, MaxDegree: 3, MinDepth: 4, MaxDepth: 4, ValueRange: 20}
 	for i := 0; i < 15; i++ {
 		root := spec.Generate(rng)
-		for _, algo := range []string{"ab", "er"} {
-			out := s.IterativeDeepening(root, DeepeningOptions{MaxDepth: 4, Delta: 2, Algorithm: algo})
-			if len(out) != 4 {
-				t.Fatalf("%s: %d iterations", algo, len(out))
-			}
-			for _, r := range out {
-				var o Searcher
-				if want := o.Negmax(root, r.Depth); r.Value != want {
-					t.Fatalf("%s depth %d: %d want %d (researches %d)",
-						algo, r.Depth, r.Value, want, r.Researches)
-				}
+		out := s.IterativeDeepening(root, DeepeningOptions{MaxDepth: 4, Delta: 2})
+		if len(out) != 4 {
+			t.Fatalf("%d iterations", len(out))
+		}
+		for _, r := range out {
+			var o Searcher
+			if want := o.Negmax(root, r.Depth); r.Value != want {
+				t.Fatalf("depth %d: %d want %d (researches %d)", r.Depth, r.Value, want, r.Researches)
 			}
 		}
 	}

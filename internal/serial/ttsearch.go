@@ -11,11 +11,13 @@ import (
 // negamax value (no search-instability effects from mixing depths), which
 // the tests exploit: with or without the table, the value is identical.
 func (s *Searcher) AlphaBetaTT(pos game.Position, depth int, w game.Window, table *tt.Table) game.Value {
+	st := stores.Get().(*store)
+	defer st.put()
 	s.Stats.AddGenerated(1)
-	return s.alphaBetaTT(pos, depth, 0, w, table)
+	return s.alphaBetaTT(st, pos, depth, 0, w, table)
 }
 
-func (s *Searcher) alphaBetaTT(pos game.Position, depth, ply int, w game.Window, table *tt.Table) game.Value {
+func (s *Searcher) alphaBetaTT(st *store, pos game.Position, depth, ply int, w game.Window, table *tt.Table) game.Value {
 	if depth == 0 {
 		return s.leaf(pos, ply)
 	}
@@ -46,14 +48,15 @@ func (s *Searcher) alphaBetaTT(pos game.Position, depth, ply int, w game.Window,
 			}
 		}
 	}
-	kids := s.expand(pos, ply, true)
+	defer st.release(st.mark())
+	kids := s.expand(st, pos, depth, ply, true)
 	if len(kids) == 0 {
 		return s.leaf(pos, ply)
 	}
 	m := -game.Inf
 	cut := false
-	for _, k := range kids {
-		t := -s.alphaBetaTT(k, depth-1, ply+1, w.Child(m), table)
+	for i := range kids {
+		t := -s.alphaBetaTT(st, kids[i].pos, depth-1, ply+1, w.Child(m), table)
 		if t > m {
 			m = t
 		}
