@@ -40,8 +40,6 @@ func SearchWith(name string, pos Position, depth int, cfg Config) (BackendResult
 		EarlyChoice:        !cfg.DisableEarlyChoice,
 		SpecRank:           cfg.SpecRank,
 		EagerSpec:          cfg.EagerSpec,
-		Sharded:            cfg.Sharded,
-		StealSeed:          cfg.StealSeed,
 		ProfileLabels:      cfg.ProfileLabels,
 	})
 	if err != nil {

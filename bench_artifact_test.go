@@ -50,6 +50,23 @@ func TestBenchArtifactBackendCurves(t *testing.T) {
 	if err := json.Unmarshal(raw, &art); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
+	// The keys of the retired work-stealing heap arm mark an artifact the
+	// current benchmark did not write.
+	var stale struct {
+		Ratio  *float64         `json:"sharded_vs_global_at_max_p"`
+		Points []map[string]any `json:"points"`
+	}
+	if err := json.Unmarshal(raw, &stale); err != nil {
+		t.Fatalf("artifact is not valid JSON: %v", err)
+	}
+	if stale.Ratio != nil {
+		t.Fatal("artifact carries sharded_vs_global_at_max_p: regenerate it with the one-heap benchmark")
+	}
+	for _, p := range stale.Points {
+		if _, ok := p["sharded"]; ok {
+			t.Fatalf("point carries a sharded field: regenerate the artifact: %v", p)
+		}
+	}
 
 	if art.GoVersion == "" || art.GOOS == "" || art.GOARCH == "" {
 		t.Fatalf("artifact missing toolchain metadata: %+v", art)

@@ -26,19 +26,16 @@ import (
 	"ertree/internal/telemetry"
 )
 
-// realSpeedupPoint is one (workload, backend, worker-count, heap-mode)
-// measurement.
+// realSpeedupPoint is one (workload, backend, worker-count) measurement.
 type realSpeedupPoint struct {
 	Workload  string  `json:"workload"`
 	Backend   string  `json:"backend"` // search backend: er, serial, lazysmp
 	Table     string  `json:"table"`   // shared-table implementation: lockfree
 	Workers   int     `json:"workers"`
-	Sharded   bool    `json:"sharded"` // er only: work-stealing heap vs. global heap
 	ElapsedNS int64   `json:"elapsed_ns"`
-	Speedup   float64 `json:"speedup"` // T(1, global) / T(P) for the same workload
+	Speedup   float64 `json:"speedup"` // T(1, er) / T(P) for the same workload
 	Value     int     `json:"value"`
 	Nodes     int64   `json:"nodes"`
-	Steals    int64   `json:"steals,omitempty"`
 	TTProbes  int64   `json:"tt_probes"`
 	TTHits    int64   `json:"tt_hits"`
 	TTStores  int64   `json:"tt_stores"`
@@ -96,12 +93,8 @@ type realSpeedupArtifact struct {
 	NumCPU     int `json:"num_cpu"`
 	GOMAXPROCS int `json:"gomaxprocs"`
 	TableBits  int `json:"table_bits"`
-	// ShardedVsGlobal is the throughput ratio T(global)/T(sharded) at the
-	// highest measured worker count, averaged over workloads: >1 means the
-	// sharded heap wins where contention is worst.
-	ShardedVsGlobal float64 `json:"sharded_vs_global_at_max_p"`
-	// LazySMPVsER is the throughput ratio T(er, global)/T(lazysmp) at the
-	// highest measured worker count, averaged over workloads: >1 means the
+	// LazySMPVsER is the throughput ratio T(er)/T(lazysmp) at the highest
+	// measured worker count, averaged over workloads: >1 means the
 	// shared-hash-table scheduler beats the paper's ER scheduler on this
 	// host — the comparison the 1990 paper couldn't run.
 	LazySMPVsER float64 `json:"lazysmp_vs_er_at_max_p"`
@@ -197,23 +190,15 @@ func BenchmarkRealSpeedup(b *testing.B) {
 		}
 		return h
 	}
-	// Elapsed per (workload, P, mode) at max P, for the sharded-vs-global
-	// summary ratio. Each point is the best of a few repetitions: one cold
-	// search is noisy at the millisecond scale and the comparison at max P is
-	// the headline number.
+	// Each point is the best of a few repetitions: one cold search is noisy
+	// at the millisecond scale and the comparisons at max P are the headline
+	// numbers.
 	const reps = 3
-	var ratioSum float64
-	var ratioN int
 	var lazyRatioSum float64
 	var lazyRatioN int
 	var mtdfRatioSum float64
 	var mtdfRatioN int
 	driverPoints := []driverSweepPoint{}
-	// erModes are the heap variants measured per worker count: the global
-	// heap (the serving default) and its work-stealing variant. The global
-	// mode must come first: it is the T(1) denominator and the max-P
-	// reference the sharded mode is divided by.
-	erModes := []bool{false, true}
 	// Per-worker-count waste attribution, rebuilt per iteration from each
 	// search's flight log (the hooks are armed for spans anyway).
 	type wasteAccum struct {
@@ -223,7 +208,6 @@ func BenchmarkRealSpeedup(b *testing.B) {
 	waste := map[int]*wasteAccum{}
 	for i := 0; i < b.N; i++ {
 		points = points[:0]
-		ratioSum, ratioN = 0, 0
 		lazyRatioSum, lazyRatioN = 0, 0
 		mtdfRatioSum, mtdfRatioN = 0, 0
 		driverPoints = driverPoints[:0]
@@ -231,105 +215,94 @@ func BenchmarkRealSpeedup(b *testing.B) {
 		for _, w := range workloads {
 			base := int64(0)
 			maxP := realSpeedupWorkers()[len(realSpeedupWorkers())-1]
-			var globalAtMaxP int64
+			var erAtMaxP int64
 			for _, p := range realSpeedupWorkers() {
-				for _, sharded := range erModes {
-					hist := histFor(p)
-					var best ertree.Result
-					for r := 0; r < reps; r++ {
-						// One search's telemetry shards, for the flight-log
-						// waste attribution below.
-						var telMu sync.Mutex
-						var tels []ertree.WorkerTelemetry
-						// A fresh table per measurement: each one is a cold
-						// search, not a replay of the previous point's work.
-						table, err := ertree.NewSearchTable(ertree.TableLockFree, tableBits, 0)
-						if err != nil {
-							b.Fatal(err)
-						}
-						cfg := ertree.Config{
-							Workers:     p,
-							SerialDepth: w.SerialDepth,
-							Order:       w.Order,
-							Sharded:     sharded,
-							StealSeed:   uint64(r),
-							Table:       table,
-							Hooks: &ertree.SearchHooks{
-								Spans:  true,
-								Events: 1 << 16,
-								OnWorkerDone: func(wt ertree.WorkerTelemetry) {
-									for _, sp := range wt.Spans {
-										hist.Observe((sp.End - sp.Start).Seconds())
-									}
-									telMu.Lock()
-									tels = append(tels, wt)
-									telMu.Unlock()
-								},
+				hist := histFor(p)
+				var best ertree.Result
+				for r := 0; r < reps; r++ {
+					// One search's telemetry shards, for the flight-log
+					// waste attribution below.
+					var telMu sync.Mutex
+					var tels []ertree.WorkerTelemetry
+					// A fresh table per measurement: each one is a cold
+					// search, not a replay of the previous point's work.
+					table, err := ertree.NewSearchTable(ertree.TableLockFree, tableBits, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cfg := ertree.Config{
+						Workers:     p,
+						SerialDepth: w.SerialDepth,
+						Order:       w.Order,
+						Table:       table,
+						Hooks: &ertree.SearchHooks{
+							Spans:  true,
+							Events: 1 << 16,
+							OnWorkerDone: func(wt ertree.WorkerTelemetry) {
+								for _, sp := range wt.Spans {
+									hist.Observe((sp.End - sp.Start).Seconds())
+								}
+								telMu.Lock()
+								tels = append(tels, wt)
+								telMu.Unlock()
 							},
-						}
-						res, err := ertree.Search(w.Root, w.Depth, cfg)
-						if err != nil {
-							b.Fatalf("%s P=%d sharded=%v: %v", w.Name, p, sharded, err)
-						}
-						rep := flight.Build(tels, flight.Options{Workers: p})
-						wa, ok := waste[p]
-						if !ok {
-							wa = &wasteAccum{}
-							waste[p] = wa
-						}
-						wa.wasted += rep.WastedSpec.Time
-						wa.spec += rep.UsefulSpec.Time + rep.WastedSpec.Time
-						wa.total += rep.UsefulPrimary.Time + rep.UsefulSpec.Time + rep.WastedSpec.Time
-						wa.searches++
-						if r == 0 || res.Elapsed < best.Elapsed {
-							best = res
-						}
+						},
 					}
-					res := best
-					if p == 1 && !sharded {
-						base = res.Elapsed.Nanoseconds()
+					res, err := ertree.Search(w.Root, w.Depth, cfg)
+					if err != nil {
+						b.Fatalf("%s P=%d: %v", w.Name, p, err)
 					}
-					if p == maxP {
-						if !sharded {
-							globalAtMaxP = res.Elapsed.Nanoseconds()
-						} else if res.Elapsed > 0 {
-							ratioSum += float64(globalAtMaxP) / float64(res.Elapsed.Nanoseconds())
-							ratioN++
-						}
+					rep := flight.Build(tels, flight.Options{Workers: p})
+					wa, ok := waste[p]
+					if !ok {
+						wa = &wasteAccum{}
+						waste[p] = wa
 					}
-					pt := realSpeedupPoint{
-						Workload:  w.Name,
-						Backend:   "er",
-						Table:     ertree.TableLockFree,
-						Workers:   p,
-						Sharded:   sharded,
-						ElapsedNS: res.Elapsed.Nanoseconds(),
-						Value:     int(res.Value),
-						Nodes:     res.Stats.Generated,
-						Steals:    res.Steals,
-						TTProbes:  res.TTProbes,
-						TTHits:    res.TTHits,
-						TTStores:  res.TTStores,
-						TTCutoffs: res.TTCutoffs,
+					wa.wasted += rep.WastedSpec.Time
+					wa.spec += rep.UsefulSpec.Time + rep.WastedSpec.Time
+					wa.total += rep.UsefulPrimary.Time + rep.UsefulSpec.Time + rep.WastedSpec.Time
+					wa.searches++
+					if r == 0 || res.Elapsed < best.Elapsed {
+						best = res
 					}
-					if res.Elapsed > 0 {
-						pt.Speedup = float64(base) / float64(res.Elapsed.Nanoseconds())
-					}
-					if res.TTProbes > 0 {
-						pt.TTHitRate = float64(res.TTHits) / float64(res.TTProbes)
-					}
-					if res.SerialTasks > 0 && res.TTProbes == 0 {
-						b.Fatalf("%s P=%d: table attached but never probed", w.Name, p)
-					}
-					points = append(points, pt)
-					lastSpeedup = pt.Speedup
 				}
+				res := best
+				if p == 1 {
+					base = res.Elapsed.Nanoseconds()
+				}
+				if p == maxP {
+					erAtMaxP = res.Elapsed.Nanoseconds()
+				}
+				pt := realSpeedupPoint{
+					Workload:  w.Name,
+					Backend:   "er",
+					Table:     ertree.TableLockFree,
+					Workers:   p,
+					ElapsedNS: res.Elapsed.Nanoseconds(),
+					Value:     int(res.Value),
+					Nodes:     res.Stats.Generated,
+					TTProbes:  res.TTProbes,
+					TTHits:    res.TTHits,
+					TTStores:  res.TTStores,
+					TTCutoffs: res.TTCutoffs,
+				}
+				if res.Elapsed > 0 {
+					pt.Speedup = float64(base) / float64(res.Elapsed.Nanoseconds())
+				}
+				if res.TTProbes > 0 {
+					pt.TTHitRate = float64(res.TTHits) / float64(res.TTProbes)
+				}
+				if res.SerialTasks > 0 && res.TTProbes == 0 {
+					b.Fatalf("%s P=%d: table attached but never probed", w.Name, p)
+				}
+				points = append(points, pt)
+				lastSpeedup = pt.Speedup
 			}
 			// Backend head-to-head on the same workload, same fresh-table
 			// policy, same repetition discipline: the serial scout at P=1 and
 			// Lazy-SMP across the ladder, with every point's Speedup on the
-			// common T(1, er-global) denominator so the three curves read
-			// side by side. The er curve is the non-sharded points above.
+			// common T(1, er) denominator so the three curves read side by
+			// side.
 			erValue := points[len(points)-1].Value
 			for _, bw := range backendSweepPoints() {
 				res, elapsed := benchBackendSearch(b, bw.backend, bw.workers, w, tableBits, reps)
@@ -357,7 +330,7 @@ func BenchmarkRealSpeedup(b *testing.B) {
 					pt.TTHitRate = float64(res.Totals.TTHits) / float64(res.Totals.TTProbes)
 				}
 				if bw.backend == "lazysmp" && bw.workers == maxP && elapsed > 0 {
-					lazyRatioSum += float64(globalAtMaxP) / float64(elapsed.Nanoseconds())
+					lazyRatioSum += float64(erAtMaxP) / float64(elapsed.Nanoseconds())
 					lazyRatioN++
 				}
 				points = append(points, pt)
@@ -435,11 +408,6 @@ func BenchmarkRealSpeedup(b *testing.B) {
 		}
 	}
 	b.ReportMetric(lastSpeedup, "speedup@maxP")
-	shardedVsGlobal := 0.0
-	if ratioN > 0 {
-		shardedVsGlobal = ratioSum / float64(ratioN)
-	}
-	b.ReportMetric(shardedVsGlobal, "sharded/global@maxP")
 	lazyVsER := 0.0
 	if lazyRatioN > 0 {
 		lazyVsER = lazyRatioSum / float64(lazyRatioN)
@@ -458,7 +426,6 @@ func BenchmarkRealSpeedup(b *testing.B) {
 		NumCPU:           runtime.NumCPU(),
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		TableBits:        tableBits,
-		ShardedVsGlobal:  shardedVsGlobal,
 		LazySMPVsER:      lazyVsER,
 		MTDFVsAspiration: mtdfVsAspiration,
 		Points:           points,

@@ -47,7 +47,6 @@ func main() {
 		backendName   = flag.String("backend", engine.DefaultBackend, "default search backend: "+backend.NamesString())
 		driverName    = flag.String("driver", engine.DefaultDriver, "default root driver: "+driver.NamesString())
 		serialDepth   = flag.Int("serial-depth", 3, "depth at or below which subtrees are searched serially")
-		sharded       = flag.Bool("sharded", false, "use the per-worker work-stealing problem heap")
 		tableBits     = flag.Int("table-bits", 20, "per-game transposition table size (2^bits slots, 0 disables)")
 		cacheSize     = flag.Int("answer-cache", 256, "completed analyses retained by the single-flight answer cache (0 disables caching and request coalescing)")
 		maxConcurrent = flag.Int("max-concurrent", 2, "server-wide concurrent search sessions")
@@ -77,7 +76,6 @@ func main() {
 		Backend:       *backendName,
 		Driver:        *driverName,
 		SerialDepth:   *serialDepth,
-		Sharded:       *sharded,
 		TableBits:     *tableBits,
 		CacheSize:     *cacheSize,
 		MaxConcurrent: *maxConcurrent,

@@ -159,15 +159,6 @@ type Config struct {
 	// elder grandchild instead of the paper's all-but-one rule. Helps on
 	// uninformed trees, hurts on strongly ordered games (experiment A6).
 	EagerSpec bool
-	// Sharded replaces Search's global problem heap with per-worker shards
-	// plus rank-respecting work stealing, removing the shared-heap lock from
-	// the pop path. Identical results, different schedule; see core.Options.
-	// Ignored by Simulate, which models the paper's single shared heap.
-	Sharded bool
-	// StealSeed seeds the per-worker victim-rotation RNG of the sharded
-	// heap; distinct seeds decorrelate steal patterns across repeated
-	// searches. Zero is a valid seed.
-	StealSeed uint64
 	// RootWindow, if non-nil, narrows the root search window. The search is
 	// fail-soft: a value inside the window is exact, a value at or below
 	// Alpha is an upper bound, a value at or above Beta is a lower bound.
@@ -232,8 +223,6 @@ func (c Config) options() core.Options {
 		EarlyChoice:        !c.DisableEarlyChoice,
 		SpecRank:           c.SpecRank,
 		EagerSpec:          c.EagerSpec,
-		Sharded:            c.Sharded,
-		StealSeed:          c.StealSeed,
 		RootWindow:         c.RootWindow,
 		Trace:              c.Trace,
 		Stats:              c.Stats,

@@ -66,9 +66,7 @@ type Config struct {
 	EarlyChoice        bool // pick an e-child before the last elder grandchild finishes
 	SpecRank           core.SpecRank
 	EagerSpec          bool
-	Sharded            bool   // per-worker work-stealing problem heap
-	StealSeed          uint64 // victim-rotation seed of the sharded heap
-	ProfileLabels      bool   // run tasks under runtime/pprof labels
+	ProfileLabels      bool // run tasks under runtime/pprof labels
 }
 
 // Request is one search: a position to exactly Depth plies under a fail-soft
@@ -97,7 +95,7 @@ type Request struct {
 // Totals are the work counters a search accumulated, in the same taxonomy
 // the engine and /metrics already aggregate. Backends leave fields they have
 // no concept of at zero (serial/lazysmp never touch the problem heap, so
-// SerialTasks, SpecPops, HeapOps, Steals stay zero there).
+// SerialTasks, SpecPops, HeapOps stay zero there).
 type Totals struct {
 	Nodes int64 // tree nodes generated
 
@@ -107,8 +105,6 @@ type Totals struct {
 	Dropped     int64 // dead nodes discarded at pop time
 	CutoffDrops int64 // nodes cut off at pop time
 	HeapOps     int64 // problem-heap pushes + pops
-	Steals      int64 // sharded-heap steals
-	StealFails  int64 // steal sweeps that found nothing
 
 	TTProbes  int64
 	TTHits    int64
@@ -125,8 +121,6 @@ func (t *Totals) Add(o Totals) {
 	t.Dropped += o.Dropped
 	t.CutoffDrops += o.CutoffDrops
 	t.HeapOps += o.HeapOps
-	t.Steals += o.Steals
-	t.StealFails += o.StealFails
 	t.TTProbes += o.TTProbes
 	t.TTHits += o.TTHits
 	t.TTStores += o.TTStores
@@ -150,8 +144,6 @@ func (t *Totals) AddResult(res core.Result) {
 	t.Dropped += res.Dropped
 	t.CutoffDrops += res.CutoffDrops
 	t.HeapOps += res.HeapOps
-	t.Steals += res.Steals
-	t.StealFails += res.StealFails
 	t.TTProbes += res.TTProbes
 	t.TTHits += res.TTHits
 	t.TTStores += res.TTStores

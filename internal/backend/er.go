@@ -35,8 +35,6 @@ func (b *erBackend) options(req Request) core.Options {
 		EarlyChoice:        b.cfg.EarlyChoice,
 		SpecRank:           b.cfg.SpecRank,
 		EagerSpec:          b.cfg.EagerSpec,
-		Sharded:            b.cfg.Sharded,
-		StealSeed:          b.cfg.StealSeed,
 		ProfileLabels:      b.cfg.ProfileLabels,
 		RootWindow:         &req.Window,
 		RootOrder:          req.RootOrder,

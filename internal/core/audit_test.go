@@ -148,13 +148,12 @@ func checkRootMove(t *testing.T, a *tableAudit, root game.Position, depth int, w
 // on table.
 type auditSearcher func(i int, root game.Position, d int, w game.Window, order game.Orderer, table tt.SharedTable) (Result, error)
 
-// auditCore is Search. Successive searches rotate through P ∈ {1,2,3}, both
-// heaps and two serial depths, so shallow depths run as one serial task at
-// the root and deeper ones through the shared tree.
+// auditCore is Search. Successive searches rotate through P ∈ {1,2,3} and
+// two serial depths, so shallow depths run as one serial task at the root
+// and deeper ones through the shared tree.
 func auditCore(i int, root game.Position, d int, w game.Window, order game.Orderer, table tt.SharedTable) (Result, error) {
 	opt := DefaultOptions()
 	opt.Workers = 1 + i%3
-	opt.Sharded = i/3%2 == 1
 	opt.SerialDepth = []int{1, 3}[i/6%2]
 	opt.Order, opt.Table, opt.RootWindow = order, table, &w
 	return Search(root, d, opt)

@@ -13,10 +13,10 @@ import (
 // cutoff — but aggregate counters cannot answer that for a single search.
 // The flight recorder captures a bounded per-worker event log: every task
 // execution, every Table 1 child spawn, every Table 2 e-child promotion and
-// refutation start, every combine step, every discarded subtree result, every
-// transposition-table cutoff, and every steal. internal/flight replays the
-// log after the search to reconstruct the tree and attribute busy time to
-// useful-primary / useful-speculative / wasted-speculative buckets.
+// refutation start, every combine step, every discarded subtree result and
+// every transposition-table cutoff. internal/flight replays the log after the
+// search to reconstruct the tree and attribute busy time to useful-primary /
+// useful-speculative / wasted-speculative buckets.
 //
 // The recorder follows the hooks discipline (hooks.go): each worker appends
 // to its own fixed-capacity ring, no shared structure is touched during the
@@ -60,8 +60,6 @@ const (
 	// EvTTCutoff is a shared-tree node the transposition table settled
 	// before it was expanded.
 	EvTTCutoff
-	// EvSteal is a task taken from another worker's heap shard.
-	EvSteal
 	// NumEventKinds bounds the EventKind values.
 	NumEventKinds
 )
@@ -84,8 +82,6 @@ func (k EventKind) String() string {
 		return "discard"
 	case EvTTCutoff:
 		return "tt-cutoff"
-	case EvSteal:
-		return "steal"
 	default:
 		return "unknown"
 	}

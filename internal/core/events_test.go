@@ -80,72 +80,69 @@ func TestEventRingExactDropAccounting(t *testing.T) {
 // root is spawn-free.
 func TestFlightRecorderObservesSearch(t *testing.T) {
 	tree := &randtree.Tree{Seed: 3, Degree: 4, Depth: 6, ValueRange: 1000}
-	for _, sharded := range []bool{false, true} {
-		sink := &hookSink{}
-		opt := DefaultOptions()
-		opt.Workers = 4
-		// SerialDepth 0 keeps every generated node in the parallel tree, so
-		// the spawn log must account for Stats.Generated exactly; serial
-		// subtree tasks would generate nodes the recorder never sees.
-		opt.SerialDepth = 0
-		opt.Sharded = sharded
-		opt.Hooks = &Hooks{Events: 1 << 16, OnWorkerDone: sink.add}
-		res, err := Search(tree.Root(), 6, opt)
-		if err != nil {
-			t.Fatal(err)
+	sink := &hookSink{}
+	opt := DefaultOptions()
+	opt.Workers = 4
+	// SerialDepth 0 keeps every generated node in the parallel tree, so
+	// the spawn log must account for Stats.Generated exactly; serial
+	// subtree tasks would generate nodes the recorder never sees.
+	opt.SerialDepth = 0
+	opt.Hooks = &Hooks{Events: 1 << 16, OnWorkerDone: sink.add}
+	res, err := Search(tree.Root(), 6, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evTasks, tasks int64
+	known := map[uint64]bool{RootSeq: true}
+	var spawns []Event
+	for _, wt := range sink.tels {
+		if wt.EventDrops != 0 {
+			t.Fatalf("%d drops with a 64k ring on a tiny search", wt.EventDrops)
 		}
-		var evTasks, tasks int64
-		known := map[uint64]bool{RootSeq: true}
-		var spawns []Event
-		for _, wt := range sink.tels {
-			if wt.EventDrops != 0 {
-				t.Fatalf("sharded=%v: %d drops with a 64k ring on a tiny search", sharded, wt.EventDrops)
+		tasks += wt.Tasks()
+		for _, e := range wt.Events {
+			if e.Kind >= NumEventKinds {
+				t.Fatalf("invalid event kind %d", e.Kind)
 			}
-			tasks += wt.Tasks()
-			for _, e := range wt.Events {
-				if e.Kind >= NumEventKinds {
-					t.Fatalf("invalid event kind %d", e.Kind)
+			switch e.Kind {
+			case EvTask:
+				evTasks++
+				if e.Dur < 0 {
+					t.Fatalf("negative task duration: %+v", e)
 				}
-				switch e.Kind {
-				case EvTask:
-					evTasks++
-					if e.Dur < 0 {
-						t.Fatalf("negative task duration: %+v", e)
-					}
-				case EvSpawn:
-					spawns = append(spawns, e)
-				}
+			case EvSpawn:
+				spawns = append(spawns, e)
 			}
 		}
-		if evTasks != tasks {
-			t.Fatalf("sharded=%v: %d EvTask events for %d counted tasks", sharded, evTasks, tasks)
-		}
-		// Spawns are recorded under the engine lock, so sorting by sequence
-		// number recovers creation order: each child must be new and its
-		// parent previously spawned (or the root).
-		for range spawns {
-			progress := false
-			for i, e := range spawns {
-				if e.Seq == 0 || known[e.Seq] || !known[e.Par] {
-					continue
-				}
-				known[e.Seq] = true
-				spawns[i].Seq = 0 // consumed
-				progress = true
+	}
+	if evTasks != tasks {
+		t.Fatalf("%d EvTask events for %d counted tasks", evTasks, tasks)
+	}
+	// Spawns are recorded under the engine lock, so sorting by sequence
+	// number recovers creation order: each child must be new and its
+	// parent previously spawned (or the root).
+	for range spawns {
+		progress := false
+		for i, e := range spawns {
+			if e.Seq == 0 || known[e.Seq] || !known[e.Par] {
+				continue
 			}
-			if !progress {
-				break
-			}
+			known[e.Seq] = true
+			spawns[i].Seq = 0 // consumed
+			progress = true
 		}
-		for _, e := range spawns {
-			if e.Seq != 0 {
-				t.Fatalf("sharded=%v: spawn %+v has unknown parent or duplicate child", sharded, e)
-			}
+		if !progress {
+			break
 		}
-		if int64(len(known)) != res.Stats.Generated {
-			t.Fatalf("sharded=%v: %d spawned nodes (incl. root), stats generated %d",
-				sharded, len(known), res.Stats.Generated)
+	}
+	for _, e := range spawns {
+		if e.Seq != 0 {
+			t.Fatalf("spawn %+v has unknown parent or duplicate child", e)
 		}
+	}
+	if int64(len(known)) != res.Stats.Generated {
+		t.Fatalf("%d spawned nodes (incl. root), stats generated %d",
+			len(known), res.Stats.Generated)
 	}
 }
 

@@ -16,25 +16,25 @@ import (
 
 // Differential schedule-fuzzing harness.
 //
-// The sharded work-stealing heap relaxes the paper's global task ordering:
-// which nodes are speculatively expanded now depends on steal interleavings,
-// pop timing, and the per-worker victim rotation. The root value must not —
-// parallel ER is sound for any schedule because tasks are independent,
-// combine is a commutative max, and windows only narrow. This harness makes
-// that claim falsifiable: randomized trees, worker counts, steal seeds and
-// injected pop-delays, every run cross-checked against the serial negamax
-// oracle and the heap conservation invariants (no lost tasks, no duplicate
-// queue entries, finish exactly once per node — the latter two armed as
-// panics via debugInvariants for the whole package test run).
+// On the real runtime, which nodes are speculatively expanded depends on how
+// the workers interleave: pop timing, cond-var wakeups, and windows that
+// narrow while a task runs unlocked. The root value must not — parallel ER is
+// sound for any schedule because tasks are independent, combine is a
+// commutative max, and windows only narrow. This harness makes that claim
+// falsifiable: randomized trees, worker counts and injected delays at the
+// workers' unlocked steps, every run cross-checked against the serial
+// negamax oracle and the heap conservation invariant (no lost tasks), with
+// finish-exactly-once per node armed as a panic via debugInvariants for the
+// whole package test run.
 
 // TestMain arms the package-wide schedule-perturbation instrumentation:
-// debugInvariants turns the double-finish / duplicate-pop checks into panics
-// for every test in this package, and the pop-jitter hook is installed once
-// here (behavior gated by the jitterSeed atomic, so tests toggle it without
-// racing workers that are mid-read).
+// debugInvariants turns the double-finish check into a panic for every test
+// in this package, and the jitter hook is installed once here (behavior
+// gated by the jitterSeed atomic, so tests toggle it without racing workers
+// that are mid-read).
 func TestMain(m *testing.M) {
 	debugInvariants = true
-	testPopJitter = scheduleJitter
+	testStepJitter = scheduleJitter
 	os.Exit(m.Run())
 }
 
@@ -45,16 +45,16 @@ var (
 	jitterTick atomic.Uint64
 )
 
-// scheduleJitter perturbs the sharded pop loop: occasional microsecond
-// sleeps and yields, hashed from the armed seed, the worker index and a
-// global tick, so steals race drains and sleep races pushes in ways the
-// normal scheduler rarely produces.
-func scheduleJitter(worker int) {
+// scheduleJitter perturbs the workers' unlocked steps: occasional
+// microsecond sleeps and yields, hashed from the armed seed and a global
+// tick, so pushes race sleeps and windows narrow under running tasks in ways
+// the normal scheduler rarely produces.
+func scheduleJitter() {
 	seed := jitterSeed.Load()
 	if seed == 0 {
 		return
 	}
-	x := seed ^ uint64(worker+1)*0x9E3779B97F4A7C15 ^ jitterTick.Add(1)*0xBF58476D1CE4E5B9
+	x := seed ^ jitterTick.Add(1)*0xBF58476D1CE4E5B9
 	x ^= x >> 29
 	x *= 0x94D049BB133111EB
 	x ^= x >> 32
@@ -68,12 +68,11 @@ func scheduleJitter(worker int) {
 
 // fuzzCase is one decoded schedule-fuzz configuration.
 type fuzzCase struct {
-	tree    *randtree.Tree
-	depth   int
-	opt     Options
-	jitter  uint64
-	withTT  bool
-	sharded bool
+	tree   *randtree.Tree
+	depth  int
+	opt    Options
+	jitter uint64
+	withTT bool
 	// drv, when non-empty, additionally deepens 1..depth through the named
 	// root driver (aspiration/mtdf), each iteration resolved by
 	// RootWindow-bounded searches of this same configuration — the driver
@@ -83,9 +82,10 @@ type fuzzCase struct {
 
 // decodeFuzzCase maps raw fuzz inputs onto a bounded search configuration:
 // trees small enough that the serial oracle stays fast, worker counts up to
-// 8, all speculation mechanisms and spec-rank policies reachable, sharded
-// and global heaps both reachable, steal seeds and pop-jitter fuzzed.
-func decodeFuzzCase(seed uint64, shape uint16, sched uint32, stealSeed uint64) fuzzCase {
+// 8, all speculation mechanisms and spec-rank policies reachable, and the
+// jitter fuzzed. Sched bit 11 is unused; the committed corpus sets it, so the
+// bits above it keep their positions.
+func decodeFuzzCase(seed uint64, shape uint16, sched uint32, jitter uint64) fuzzCase {
 	degree := 1 + int(shape%4)     // 1..4
 	depth := 1 + int((shape>>2)%6) // 1..6
 	valueRange := 1 + int32((shape>>8)%200)
@@ -106,16 +106,13 @@ func decodeFuzzCase(seed uint64, shape uint16, sched uint32, stealSeed uint64) f
 		EarlyChoice:        sched>>7&1 == 1,
 		SpecRank:           SpecRank((sched >> 8) % 3),
 		EagerSpec:          sched>>10&1 == 1,
-		Sharded:            sched>>11&1 == 1,
-		StealSeed:          stealSeed,
 	}
-	c.sharded = c.opt.Sharded
 	c.withTT = sched>>12&1 == 1
 	if c.withTT {
 		c.opt.Table = tt.NewLockFree(10)
 	}
 	if sched>>13&1 == 1 {
-		c.jitter = stealSeed | 1
+		c.jitter = jitter | 1
 	}
 	// Slot 3 selects mtdf too, so every committed seed still decodes.
 	c.drv = [...]string{"", "aspiration", "mtdf", "mtdf"}[(sched>>14)&3]
@@ -135,42 +132,13 @@ func pow(b, e int) int {
 
 // verifyHeapConservation inspects the post-search state (via testStateHook,
 // after all workers exited, before the arena is released): every push was
-// either popped or is still queued (no lost tasks), every queued node still
-// carries its queued flag (no orphaned entries), and the queued counter
-// agrees with the shard contents.
+// either popped or is still queued (no lost tasks).
 func verifyHeapConservation(t testing.TB, s *state) {
 	t.Helper()
-	if s.shards != nil {
-		var remaining int64
-		for i := range s.shards.shards {
-			sh := &s.shards.shards[i]
-			sh.mu.Lock()
-			for _, n := range sh.primary {
-				if !n.inPrimary {
-					t.Errorf("shard %d: queued primary node without inPrimary flag", i)
-				}
-			}
-			for _, n := range sh.spec {
-				if !n.onSpec {
-					t.Errorf("shard %d: queued spec node without onSpec flag", i)
-				}
-			}
-			remaining += int64(len(sh.primary) + len(sh.spec))
-			sh.mu.Unlock()
-		}
-		if q := s.shards.queued.Load(); q != remaining {
-			t.Errorf("queued counter %d, shard contents %d", q, remaining)
-		}
-		pushes, pops := s.shards.pushes.Load(), s.shards.pops.Load()
-		if pushes != pops+remaining {
-			t.Errorf("task conservation violated: %d pushed, %d popped, %d remaining", pushes, pops, remaining)
-		}
-	} else {
-		remaining := int64(len(s.heap.primary) + len(s.heap.spec))
-		pushes, pops := s.heap.pushes.Load(), s.heap.pops.Load()
-		if pushes != pops+remaining {
-			t.Errorf("task conservation violated: %d pushed, %d popped, %d remaining", pushes, pops, remaining)
-		}
+	remaining := int64(len(s.heap.primary) + len(s.heap.spec))
+	pushes, pops := s.heap.pushes.Load(), s.heap.pops.Load()
+	if pushes != pops+remaining {
+		t.Errorf("task conservation violated: %d pushed, %d popped, %d remaining", pushes, pops, remaining)
 	}
 	if !s.root.done && !s.aborted {
 		t.Error("workers exited with the root unresolved and no abort")
@@ -199,9 +167,6 @@ func runFuzzCase(t testing.TB, c fuzzCase) {
 	}
 	if !res.Exact {
 		t.Fatalf("full-window search reported inexact result: %+v", res)
-	}
-	if res.Sharded != c.sharded {
-		t.Fatalf("Result.Sharded = %v, want %v", res.Sharded, c.sharded)
 	}
 
 	if c.drv != "" {
@@ -258,49 +223,47 @@ func runFuzzDriver(t testing.TB, c fuzzCase) {
 
 // FuzzSearchEquivalence is the native fuzz target: `go test
 // -fuzz=FuzzSearchEquivalence ./internal/core/` explores tree shapes, worker
-// counts, heap modes, steal seeds, pop-delays and root drivers, failing on
+// counts, speculation settings, injected delays and root drivers, failing on
 // any divergence from the serial oracle or any invariant violation. The
-// committed corpus under testdata/fuzz/ pins the interesting region (sharded
-// × jitter × spec-rank × TT × driver) so plain `go test` replays it on every
-// run.
+// committed corpus under testdata/fuzz/ pins the interesting region (jitter
+// × spec-rank × TT × driver) so plain `go test` replays it on every run.
 func FuzzSearchEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(0x0F), uint32(0xFFFF), uint64(42))
 	f.Add(uint64(0x60_0D), uint16(0x1B), uint32(0x2FE1), uint64(7))
 	f.Add(uint64(3), uint16(0x2A7), uint32(0x3AE5), uint64(0))
 	f.Add(uint64(99), uint16(0x13), uint32(0x0820), uint64(123456789))
 	f.Add(uint64(424242), uint16(0x3FF), uint32(0x1FFF), uint64(0xDEADBEEF))
-	// Driver-dimension seeds (sched bits 14-15): aspiration over the sharded
-	// heap, mtdf with the table, mtdf without the table (the degradation
-	// path), and mtdf with jitter armed through driver slot 3 (sched =
-	// 0xFFFF, as in the first seed above; slot 3 selects mtdf too).
+	// Driver-dimension seeds (sched bits 14-15): aspiration, mtdf with the
+	// table, mtdf without the table (the degradation path), and mtdf with
+	// jitter armed through driver slot 3 (sched = 0xFFFF, as in the first
+	// seed above; slot 3 selects mtdf too).
 	f.Add(uint64(0x60_0E), uint16(0x1B), uint32(0x6FE1), uint64(17))
 	f.Add(uint64(5), uint16(0x2A7), uint32(0xBAE5), uint64(3))
 	f.Add(uint64(77), uint16(0x153), uint32(0x8FE1), uint64(9))
 	f.Add(uint64(2024), uint16(0x3F), uint32(0xFFFF), uint64(0xFEED))
-	f.Fuzz(func(t *testing.T, seed uint64, shape uint16, sched uint32, stealSeed uint64) {
-		runFuzzCase(t, decodeFuzzCase(seed, shape, sched, stealSeed))
+	f.Fuzz(func(t *testing.T, seed uint64, shape uint16, sched uint32, jitter uint64) {
+		runFuzzCase(t, decodeFuzzCase(seed, shape, sched, jitter))
 	})
 }
 
 // TestDifferentialSchedules is the deterministic slice of the fuzz space run
-// on every `go test`: for a spread of trees it compares the serial oracle,
-// the global heap, and the sharded heap across worker counts, steal seeds
-// and jitter, asserting identical root values and heap conservation on every
-// run.
+// on every `go test`: for a spread of trees it compares the serial oracle
+// with the parallel search across worker counts and jitter, asserting
+// identical root values and heap conservation on every run.
 func TestDifferentialSchedules(t *testing.T) {
 	type variant struct {
-		workers   int
-		sharded   bool
-		stealSeed uint64
-		jitter    uint64
+		workers int
+		jitter  uint64
 	}
+	// P=4 without jitter is the unperturbed reference for the jittered
+	// multi-worker variants; P=1 runs with and without it.
 	variants := []variant{
-		{workers: 1, sharded: false},
-		{workers: 4, sharded: false},
-		{workers: 1, sharded: true},
-		{workers: 2, sharded: true, stealSeed: 1},
-		{workers: 4, sharded: true, stealSeed: 99, jitter: 0xABCD},
-		{workers: 8, sharded: true, stealSeed: 7, jitter: 0x1234},
+		{workers: 1},
+		{workers: 4},
+		{workers: 1, jitter: 0x5EED},
+		{workers: 2, jitter: 0x0001},
+		{workers: 4, jitter: 0xABCD},
+		{workers: 8, jitter: 0x1234},
 	}
 	trees := []*randtree.Tree{
 		{Seed: 11, Degree: 2, Depth: 8, ValueRange: 100},
@@ -320,11 +283,8 @@ func TestDifferentialSchedules(t *testing.T) {
 						ParallelRefutation: true,
 						MultipleENodes:     true,
 						EarlyChoice:        true,
-						Sharded:            v.sharded,
-						StealSeed:          v.stealSeed,
 					},
-					jitter:  v.jitter,
-					sharded: v.sharded,
+					jitter: v.jitter,
 				}
 				t.Run(fmt.Sprintf("tree%d-sd%d-v%d", ti, sd, vi), func(t *testing.T) {
 					runFuzzCase(t, c)
@@ -334,26 +294,24 @@ func TestDifferentialSchedules(t *testing.T) {
 	}
 }
 
-// TestShardedDrainNoLivelock is the regression test for the empty-pop path
-// under stealing: with far more workers than the tree can feed, most workers
-// oscillate between failed local pops, failed steals and cond-wait sleeps
-// while the heap drains, with pop-jitter widening the race windows. Any lost
-// wakeup (a push whose WakeAll lands before a starving worker re-checks the
-// queued counter) or a steal/termination livelock shows up as the batch
-// blowing the deadline.
-func TestShardedDrainNoLivelock(t *testing.T) {
+// TestDrainNoLivelock is the regression test for the empty-heap path: with
+// far more workers than the tree can feed, most workers oscillate between
+// empty pops and cond-wait sleeps while the heap drains, with jitter at the
+// unlocked steps widening the race windows. Any lost wakeup (a push whose
+// WakeAll lands before a starving worker re-checks the heap) or a
+// termination livelock shows up as the batch blowing the deadline.
+func TestDrainNoLivelock(t *testing.T) {
 	tr := &randtree.Tree{Seed: 21, Degree: 3, Depth: 7, ValueRange: 100}
 	want := oracle(tr.Root(), 7)
 	jitterSeed.Store(0x5EED)
 	defer jitterSeed.Store(0)
+	tick0 := jitterTick.Load()
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 25; i++ {
 			opt := DefaultOptions()
 			opt.Workers = 16
 			opt.SerialDepth = 1
-			opt.Sharded = true
-			opt.StealSeed = uint64(i) * 0x9E3779B9
 			res, err := Search(tr.Root(), 7, opt)
 			if err != nil {
 				done <- err
@@ -371,44 +329,12 @@ func TestShardedDrainNoLivelock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if jitterTick.Load() == tick0 {
+			t.Fatal("the jitter hook never ran at an unlocked step")
+		}
 	case <-time.After(60 * time.Second):
 		buf := make([]byte, 1<<20)
 		n := runtime.Stack(buf, true)
-		t.Fatalf("livelock: 25 sharded drains did not finish in 60s\n%s", buf[:n])
-	}
-}
-
-// TestShardedStealsHappen pins that the sharded configuration actually
-// exercises the steal path (a scheduler whose workers never run dry would
-// leave the whole steal mechanism untested): across a batch of searches wide
-// enough to starve some shards, at least one steal must occur, and the steal
-// counters must be consistent with the telemetry shards.
-func TestShardedStealsHappen(t *testing.T) {
-	tr := &randtree.Tree{Seed: 5, Degree: 4, Depth: 7, ValueRange: 10000}
-	var steals int64
-	var telSteals atomic.Int64
-	for attempt := 0; attempt < 20 && steals == 0; attempt++ {
-		opt := DefaultOptions()
-		opt.Workers = 8
-		opt.SerialDepth = 2
-		opt.Sharded = true
-		opt.StealSeed = uint64(attempt)
-		opt.Hooks = &Hooks{OnWorkerDone: func(wt WorkerTelemetry) {
-			telSteals.Add(wt.Steals)
-		}}
-		res, err := Search(tr.Root(), 7, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Value != oracle(tr.Root(), 7) {
-			t.Fatalf("wrong value %d", res.Value)
-		}
-		steals += res.Steals
-	}
-	if steals == 0 {
-		t.Fatal("no steal ever happened across 20 sharded searches at P=8")
-	}
-	if telSteals.Load() != steals {
-		t.Errorf("telemetry counted %d steals, results counted %d", telSteals.Load(), steals)
+		t.Fatalf("livelock: 25 drains did not finish in 60s\n%s", buf[:n])
 	}
 }

@@ -95,11 +95,6 @@ type WorkerTelemetry struct {
 	// totals is primary work.
 	SpecTasks int64
 	SpecTime  time.Duration
-	// Steals/StealTime count the tasks this worker stole from another
-	// worker's heap shard and the time spent running dry before holding
-	// them (sharded runtime only; zero on the global heap).
-	Steals    int64
-	StealTime time.Duration
 	// Spans are the individual task spans, recorded only when Hooks.Spans
 	// is set (they are the expensive part: one append per task).
 	Spans []Span
@@ -140,8 +135,6 @@ func (wt *WorkerTelemetry) Merge(o WorkerTelemetry) {
 	}
 	wt.SpecTasks += o.SpecTasks
 	wt.SpecTime += o.SpecTime
-	wt.Steals += o.Steals
-	wt.StealTime += o.StealTime
 	wt.Spans = append(wt.Spans, o.Spans...)
 	wt.HeapSamples = append(wt.HeapSamples, o.HeapSamples...)
 	wt.Events = append(wt.Events, o.Events...)

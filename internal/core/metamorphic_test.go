@@ -14,24 +14,19 @@ import (
 
 // Metamorphic schedule-invariance: the root value and the Exact flag are
 // functions of the position and depth alone, not of the schedule. Varying the
-// worker count, the heap implementation (global vs. sharded) and the steal
-// seed must leave both unchanged on every game. This is the test-suite form
-// of the paper's soundness argument — speculation and stealing may reorder
-// work arbitrarily, but combine is commutative and windows only narrow, so
-// every schedule converges to the serial value.
+// worker count must leave both unchanged on every game. This is the
+// test-suite form of the paper's soundness argument — speculation may
+// reorder work arbitrarily, but combine is commutative and windows only
+// narrow, so every schedule converges to the serial value.
 
 // metamorphicVariants is the schedule grid every position is searched under:
-// P ∈ {1,2,4,8} on both heap implementations.
+// P ∈ {1,2,4,8}.
 func metamorphicVariants() []Options {
 	var opts []Options
-	for _, sharded := range []bool{false, true} {
-		for _, p := range []int{1, 2, 4, 8} {
-			o := DefaultOptions()
-			o.Workers = p
-			o.Sharded = sharded
-			o.StealSeed = uint64(p) * 0x9E3779B97F4A7C15
-			opts = append(opts, o)
-		}
+	for _, p := range []int{1, 2, 4, 8} {
+		o := DefaultOptions()
+		o.Workers = p
+		opts = append(opts, o)
 	}
 	return opts
 }
@@ -54,7 +49,7 @@ func TestMetamorphicScheduleInvariance(t *testing.T) {
 			want := (&serial.Searcher{}).Negmax(c.pos, c.depth)
 			for _, opt := range metamorphicVariants() {
 				opt.SerialDepth = c.depth / 2
-				label := fmt.Sprintf("P=%d sharded=%v", opt.Workers, opt.Sharded)
+				label := fmt.Sprintf("P=%d", opt.Workers)
 				res, err := Search(c.pos, c.depth, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -65,9 +60,6 @@ func TestMetamorphicScheduleInvariance(t *testing.T) {
 				if !res.Exact {
 					t.Errorf("%s: full-window search reported Exact=false", label)
 				}
-				if res.Sharded != opt.Sharded {
-					t.Errorf("%s: Result.Sharded = %v", label, res.Sharded)
-				}
 			}
 		})
 	}
@@ -75,8 +67,7 @@ func TestMetamorphicScheduleInvariance(t *testing.T) {
 
 // TestMetamorphicRootWindowInexact drives the same grid through a root window
 // that excludes the true value, so the search must fail low everywhere:
-// Exact=false on every schedule, never flipping to true on any worker count
-// or heap implementation.
+// Exact=false on every schedule, never flipping to true on any worker count.
 func TestMetamorphicRootWindowInexact(t *testing.T) {
 	tr := &randtree.Tree{Seed: 78, Degree: 3, Depth: 6, ValueRange: 500}
 	const depth = 6
@@ -87,15 +78,15 @@ func TestMetamorphicRootWindowInexact(t *testing.T) {
 		opt.RootWindow = &w
 		res, err := Search(tr.Root(), depth, opt)
 		if err != nil {
-			t.Fatalf("P=%d sharded=%v: %v", opt.Workers, opt.Sharded, err)
+			t.Fatalf("P=%d: %v", opt.Workers, err)
 		}
 		if res.Exact {
-			t.Errorf("P=%d sharded=%v: window (%d,%d) excludes true value %d but Exact=true (value %d)",
-				opt.Workers, opt.Sharded, w.Alpha, w.Beta, want, res.Value)
+			t.Errorf("P=%d: window (%d,%d) excludes true value %d but Exact=true (value %d)",
+				opt.Workers, w.Alpha, w.Beta, want, res.Value)
 		}
 		if res.Value > want {
-			t.Errorf("P=%d sharded=%v: fail-low bound %d exceeds true value %d",
-				opt.Workers, opt.Sharded, res.Value, want)
+			t.Errorf("P=%d: fail-low bound %d exceeds true value %d",
+				opt.Workers, res.Value, want)
 		}
 	}
 }

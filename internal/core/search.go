@@ -26,21 +26,6 @@ var ErrUnresolved = errors.New("core: search terminated with unresolved root")
 type Options struct {
 	// Workers is the number of processors P. Defaults to 1.
 	Workers int
-	// Sharded replaces the global two-queue problem heap with per-worker
-	// heap shards plus rank-respecting work stealing on the real runtime
-	// (shardheap.go): each worker owns a primary + speculative queue pair,
-	// pushes the work it generates locally, and steals the best task from
-	// the busiest victim when it runs dry. ER's deepest-first /
-	// fewest-e-children priorities hold exactly per shard and approximately
-	// globally, which changes which nodes are speculatively expanded but
-	// never the root value (the fuzzsched harness cross-checks this against
-	// the serial oracle). Ignored by Simulate, which keeps the paper's exact
-	// single-heap semantics so Tables 1-2 reproductions stay bit-identical.
-	Sharded bool
-	// StealSeed seeds the per-worker victim-rotation RNG of the sharded
-	// heap. Zero is a fixed default; the schedule fuzzer varies it to
-	// explore steal interleavings.
-	StealSeed uint64
 	// SerialDepth is the remaining depth at or below which subtrees are
 	// searched by serial ER as a single work unit (the paper's "depth
 	// below which serial ER is to be used", §6). Zero parallelizes all the
@@ -204,9 +189,6 @@ type Result struct {
 	Stats game.StatsSnapshot
 	// Workers is the processor count used.
 	Workers int
-	// Sharded reports which problem-heap implementation ran (Options.Sharded
-	// on the real runtime; always false for Simulate).
-	Sharded bool
 
 	// Engine counters.
 	SerialTasks int64 // subtrees searched by serial ER
@@ -215,10 +197,6 @@ type Result struct {
 	Dropped     int64 // dead nodes discarded at pop time
 	CutoffDrops int64 // nodes cut off at pop time (window closed while queued)
 	HeapOps     int64 // pushes + pops on the problem heap
-
-	// Sharded-heap counters (zero on the global heap).
-	Steals     int64 // tasks taken from another worker's shard
-	StealFails int64 // steal sweeps that found every shard empty
 
 	// Transposition-table counters (all zero when Options.Table is nil).
 	TTProbes  int64 // node lookups in the table
@@ -240,7 +218,7 @@ type Result struct {
 }
 
 func (s *state) result(workers int) Result {
-	res := Result{
+	return Result{
 		Value:       s.root.soft,
 		Exact:       s.root.done && s.root.rootWin.Contains(s.root.soft),
 		Move:        s.rootMove,
@@ -249,24 +227,15 @@ func (s *state) result(workers int) Result {
 		Workers:     workers,
 		SerialTasks: s.serialTasks.Load(),
 		LeafTasks:   s.leafTasks.Load(),
+		SpecPops:    s.heap.specPops.Load(),
 		Dropped:     s.dropped.Load(),
 		CutoffDrops: s.cutoffDrops.Load(),
+		HeapOps:     s.heap.pushes.Load() + s.heap.pops.Load(),
 		TTProbes:    s.tt.Probes,
 		TTHits:      s.tt.Hits,
 		TTStores:    s.tt.Stores,
 		TTCutoffs:   s.tt.Cutoffs,
 	}
-	if s.shards != nil {
-		res.Sharded = true
-		res.SpecPops = s.shards.specPops.Load()
-		res.HeapOps = s.shards.pushes.Load() + s.shards.pops.Load()
-		res.Steals = s.shards.steals.Load()
-		res.StealFails = s.shards.stealFails.Load()
-	} else {
-		res.SpecPops = s.heap.specPops.Load()
-		res.HeapOps = s.heap.pushes.Load() + s.heap.pops.Load()
-	}
-	return res
 }
 
 // testStateHook, when non-nil, observes the search state after the result
@@ -297,10 +266,6 @@ func Search(pos game.Position, depth int, opt Options) (Result, error) {
 		workers = 1
 	}
 	s := newState(pos, depth, opt, DefaultCostModel())
-	if opt.Sharded {
-		s.shards = newShardedHeap(workers)
-	}
-	s.seedRoot()
 	rt := newRealRuntime()
 	if opt.Cancel != nil {
 		stop := make(chan struct{})
@@ -332,12 +297,6 @@ func Search(pos game.Position, depth int, opt Options) (Result, error) {
 			w.labels = s.opt.ProfileLabels
 			if s.opt.Hooks != nil {
 				w.attachHooks(id, s.opt.Hooks, epoch)
-			}
-			if s.shards != nil {
-				w.shard = id
-				w.rng = stealRNGSeed(s.opt.StealSeed, id)
-				s.workerSharded(w)
-				return
 			}
 			s.worker(w)
 		}(i)
@@ -374,9 +333,7 @@ func Simulate(pos game.Position, depth int, opt Options, cost CostModel) (Result
 	opt.Table = nil           // the paper's machine had no transposition table
 	opt.Hooks = nil           // wall-clock hooks would perturb the bit-stable virtual run
 	opt.ProfileLabels = false // goroutine labels are a real-runtime concern
-	opt.Sharded = false       // the model keeps the paper's exact single-heap semantics
 	s := newState(pos, depth, opt, cost)
-	s.seedRoot()
 	env := sim.NewEnv()
 	if opt.Trace {
 		env.EnableTrace()

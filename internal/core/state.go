@@ -22,7 +22,6 @@ type state struct {
 	opt      Options
 	cost     CostModel
 	heap     problemHeap
-	shards   *shardedHeap // non-nil when Options.Sharded selected the sharded heap
 	arena    nodeArena
 	root     *node
 	seq      uint64
@@ -61,12 +60,6 @@ type wctx struct {
 	// before it is merged into stats; reused by every task of the worker.
 	task game.Stats
 
-	// shard is the worker's home shard of the sharded heap (stealworker.go);
-	// always 0 on the simulator and the global-heap runtime. rng drives the
-	// worker's steal victim rotation, seeded from Options.StealSeed.
-	shard int
-	rng   uint64
-
 	// tt counts the worker's table traffic, serial tasks included; stores
 	// holds the shared-tree results queued under the lock for the table,
 	// written at the worker's next unlocked step (flushStores).
@@ -97,6 +90,8 @@ type pendingStore struct {
 	win   game.Window
 }
 
+// newState builds the search state around the root and schedules the root
+// on the problem heap.
 func newState(pos game.Position, depth int, opt Options, cost CostModel) *state {
 	s := &state{opt: opt, cost: cost, stats: opt.Stats, rootMove: -1}
 	if s.stats == nil {
@@ -107,45 +102,8 @@ func newState(pos game.Position, depth int, opt Options, cost CostModel) *state 
 		s.root.rootWin = *opt.RootWindow
 	}
 	s.stats.AddGenerated(1)
-	return s
-}
-
-// seedRoot schedules the root node once the heap mode has been decided —
-// Search may have swapped in the sharded heap after newState built the tree.
-func (s *state) seedRoot() {
-	if s.shards != nil {
-		s.shards.pushPrimary(s.root, 0)
-		return
-	}
 	s.heap.pushPrimary(s.root)
-}
-
-// enqueue schedules n on the active heap: the worker's own shard when the
-// sharded heap is selected, the global primary queue otherwise. Lock held.
-func (s *state) enqueue(n *node, w *wctx) {
-	if s.shards != nil {
-		s.shards.pushPrimary(n, w.shard)
-		return
-	}
-	s.heap.pushPrimary(n)
-}
-
-// enqueueBatch schedules freshly generated children in one pass. Lock held.
-func (s *state) enqueueBatch(ns []*node, w *wctx) {
-	if s.shards != nil {
-		s.shards.pushPrimaryBatch(ns, w.shard)
-		return
-	}
-	s.heap.pushPrimaryBatch(ns)
-}
-
-// enqueueSpec places e-node n on the active speculative queue. Lock held.
-func (s *state) enqueueSpec(n *node, w *wctx) {
-	if s.shards != nil {
-		s.shards.pushSpec(n, w.shard)
-		return
-	}
-	s.heap.pushSpec(n)
+	return s
 }
 
 // release severs the search tree once a result has been extracted: the heap
@@ -153,9 +111,6 @@ func (s *state) enqueueSpec(n *node, w *wctx) {
 // position a node referenced — remains reachable through the state.
 func (s *state) release() {
 	s.heap.primary, s.heap.spec = nil, nil
-	if s.shards != nil {
-		s.shards.release()
-	}
 	s.root = nil
 	s.arena.release()
 }
@@ -215,7 +170,7 @@ func (s *state) pushSpeculative(E *node, w *wctx) {
 		// Paper §6: fewest e-children first, then shallower nodes.
 		E.specKey = int64(E.eKids)<<32 | int64(E.ply)
 	}
-	s.enqueueSpec(E, w)
+	s.heap.pushSpec(E)
 	w.rt.HoldWork(s.cost.HeapOp)
 }
 
@@ -273,7 +228,7 @@ func (s *state) table1(n *node, w *wctx) {
 			batch := n.kids[start:]
 			w.stats.AddGenerated(int64(len(batch)))
 			w.rt.HoldWork(int64(len(batch)) * (s.cost.Node + s.cost.HeapOp))
-			s.enqueueBatch(batch, w)
+			s.heap.pushPrimaryBatch(batch)
 		}
 		w.rt.WakeAll()
 	case undecided, rNode:
@@ -288,7 +243,7 @@ func (s *state) table1(n *node, w *wctx) {
 				Arg: 0, Spec: k.specBorn, Ply: int32(k.ply)})
 			w.stats.AddGenerated(1)
 			w.rt.HoldWork(s.cost.Node + s.cost.HeapOp)
-			s.enqueue(k, w)
+			s.heap.pushPrimary(k)
 			w.rt.WakeAll()
 			return
 		}
@@ -308,7 +263,7 @@ func (s *state) table1(n *node, w *wctx) {
 			w.stats.AddGenerated(1)
 			w.stats.AddRefutations(1)
 			w.rt.HoldWork(s.cost.Node + s.cost.HeapOp)
-			s.enqueue(k, w)
+			s.heap.pushPrimary(k)
 			w.rt.WakeAll()
 		}
 	}
@@ -418,7 +373,7 @@ func (s *state) childDone(p, c *node, w *wctx) bool {
 		if len(p.kids) < len(p.moves) {
 			// Sequential refutation within an r-node: the next child is
 			// examined only now that the current one has finished.
-			s.enqueue(p, w)
+			s.heap.pushPrimary(p)
 			w.rt.HoldWork(s.cost.HeapOp)
 			w.rt.WakeAll()
 			return false
@@ -491,7 +446,7 @@ func (s *state) selectEChild(E *node, w *wctx, speculative bool) bool {
 	E.eKids++
 	w.event(Event{Kind: EvPromote, Seq: best.seq, Par: E.seq,
 		Spec: speculative, Ply: int32(best.ply)})
-	s.enqueue(best, w)
+	s.heap.pushPrimary(best)
 	w.rt.HoldWork(s.cost.HeapOp)
 	// "Once the elder grandchildren of E have been evaluated, ensure that
 	// E always has at least one active e-child" (§5): keep E available on
@@ -551,7 +506,7 @@ func (s *state) scheduleRefuter(k *node, w *wctx) {
 	if k.expanded && len(k.kids) == len(k.moves) {
 		return // nothing left to generate; completion is in flight
 	}
-	s.enqueue(k, w)
+	s.heap.pushPrimary(k)
 	w.rt.HoldWork(s.cost.HeapOp)
 	w.rt.WakeAll()
 }

@@ -19,12 +19,10 @@ type harness struct {
 }
 
 func newHarness(root *gtree.Node, depth int, opt Options) *harness {
-	h := &harness{
+	return &harness{
 		s: newState(root, depth, opt, DefaultCostModel()),
 		w: newWctx(newRealRuntime()),
 	}
-	h.s.seedRoot()
-	return h
 }
 
 // step pops one node from the problem heap and performs its worker action,

@@ -49,11 +49,8 @@ func (s *state) worker(w *wctx) {
 	}
 }
 
-// runTask executes one popped task: the Table 1 / §6 dispatch shared by the
-// global-heap worker and the sharded-heap worker (stealworker.go). The node's
-// queued flag has already been cleared — at pop time on the global heap, at
-// processing time on the sharded heap — so from here both runtimes see
-// identical semantics. Lock held on entry and exit.
+// runTask executes one popped task: the Table 1 / §6 dispatch. The node's
+// queued flag was cleared at pop time. Lock held on entry and exit.
 func (s *state) runTask(n *node, fromSpec bool, w *wctx) {
 	if w.labels {
 		setTaskLabels(s.classifyTask(n, fromSpec))
@@ -116,6 +113,7 @@ func (s *state) leafTask(n *node, w *wctx) {
 	s.leafTasks.Add(1)
 	w.rt.Unlock()
 	s.flushStores(w)
+	stepJitter()
 	v := n.pos.Value()
 	w.rt.FreeWork(s.cost.Eval)
 	w.stats.AddEvaluated(1)
@@ -162,6 +160,7 @@ func (s *state) subtreeTask(n *node, win game.Window, examine bool, w *wctx) {
 	s.serialTasks.Add(1)
 	w.rt.Unlock()
 	s.flushStores(w)
+	stepJitter()
 	w.task = game.Stats{}
 	searcher := s.serialSearcher(w, n.ply)
 	var fig8, soft game.Value
@@ -197,6 +196,7 @@ func (s *state) expandTask(n *node, win game.Window, w *wctx) bool {
 	isRoot := n.parent == nil
 	w.rt.Unlock()
 	s.flushStores(w)
+	stepJitter()
 	var (
 		moves    []game.Position
 		answer   game.Value
@@ -247,3 +247,25 @@ func (s *state) expandTask(n *node, win game.Window, w *wctx) bool {
 	}
 	return true
 }
+
+// testStepJitter, when non-nil, is called at each unlocked step of a task,
+// after the worker has dropped the engine lock to evaluate, search a subtree
+// or expand a node. The schedule fuzzer injects delays here to force rare
+// interleavings (pushes racing sleeps, windows narrowing mid-task). The hook
+// must not call the Runtime: the simulator charges every lock acquisition,
+// so a hook that did would move the simulated schedules. Set and cleared
+// only while no search is running.
+var testStepJitter func()
+
+// stepJitter runs testStepJitter when it is set; the nil check inlines, so a
+// search outside the fuzzer pays one load per unlocked step.
+func stepJitter() {
+	if j := testStepJitter; j != nil {
+		j()
+	}
+}
+
+// debugInvariants arms internal-invariant panics (a node finished twice) that
+// are too hot to check in production searches. Enabled by the fuzz and
+// differential harnesses; set and cleared only while no search is running.
+var debugInvariants bool

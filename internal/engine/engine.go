@@ -95,10 +95,6 @@ type Config struct {
 	// Order is the move-ordering policy for the underlying searches; nil
 	// means natural order.
 	Order game.Orderer
-	// Sharded runs every search on the per-worker sharded work-stealing
-	// problem heap instead of the global two-queue heap. Same values,
-	// less pop-path lock contention at high worker counts.
-	Sharded bool
 	// ProfileLabels runs every core task under runtime/pprof goroutine
 	// labels (task_kind, spec) so CPU/mutex profiles taken from the serving
 	// process segment by the search's work taxonomy.
@@ -271,7 +267,6 @@ func New(cfg Config) *Engine {
 		ParallelRefutation: true,
 		MultipleENodes:     true,
 		EarlyChoice:        true,
-		Sharded:            cfg.Sharded,
 		ProfileLabels:      cfg.ProfileLabels,
 	}
 	e.backends = make(map[string]backend.Backend)
@@ -496,8 +491,6 @@ func (e *Engine) AddSample(sm *obs.Sample) {
 	sm.ShedFull += c.ShedFull
 	sm.ShedTimeout += c.ShedTimeout
 	sm.ShedCancelled += c.ShedCancelled
-	sm.Steals += c.Steals
-	sm.StealFails += c.StealFails
 	sm.TTProbes += c.TTProbes
 	sm.TTHits += c.TTHits
 	e.mu.Unlock()

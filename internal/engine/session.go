@@ -22,7 +22,6 @@ type Iteration struct {
 	Researches int        // wide-window re-searches (aspiration reopens)
 	Probes     int        // null-window probes (mtdf driver)
 	Nodes      int64      // tree nodes generated during this iteration
-	Steals     int64      // sharded-heap steals during this iteration
 	// HeapPeak is the largest problem-heap occupancy sampled during this
 	// iteration; zero unless the session runs with hooks armed
 	// (SessionOptions.Trace or Record).
@@ -163,7 +162,6 @@ func (e *Engine) AnalyzeSession(ctx context.Context, pos game.Position, maxDepth
 		drv:    drv,
 		pos:    pos,
 		cancel: ctx.Done(),
-		kids:   kids,
 		order:  make([]int, len(kids)),
 		scores: make([]game.Value, len(kids)),
 		prev:   game.NoValue,
@@ -272,8 +270,7 @@ type session struct {
 	drv    driver.Driver   // the root driver resolving each iteration
 	pos    game.Position   // the analyzed position
 	cancel <-chan struct{}
-	kids   []game.Position // root children, natural order
-	order  []int           // search order (indices into kids)
+	order  []int           // search order (indices into pos.Children())
 	scores []game.Value    // latest root-view score per child (bounds for non-best)
 	prev   game.Value      // previous iteration's value (aspiration center)
 	tot    backend.Totals  // search work, folded into the engine once at finish
@@ -307,7 +304,7 @@ func (s *session) observeWorker(wt core.WorkerTelemetry) {
 func (s *session) iterate(depth int) (Iteration, error) {
 	it := Iteration{Depth: depth}
 	start := time.Now()
-	nodes0, steals0 := s.tot.Nodes, s.tot.Steals
+	nodes0 := s.tot.Nodes
 	res, err := s.drv.Resolve(func(w game.Window) (int, game.Value, error) {
 		return s.searchRoot(depth, w)
 	}, s.prev)
@@ -318,7 +315,6 @@ func (s *session) iterate(depth int) (Iteration, error) {
 	}
 	it.Move, it.Value = res.Move, res.Value
 	it.Nodes = s.tot.Nodes - nodes0
-	it.Steals = s.tot.Steals - steals0
 	it.HeapPeak = int(s.heapPeak.Swap(0))
 	it.Elapsed = time.Since(start)
 	return it, nil

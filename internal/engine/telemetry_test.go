@@ -248,8 +248,6 @@ func TestStatsConcurrentSessions(t *testing.T) {
 		{"sample iterations", sm.Iterations, st.Iterations},
 		{"sample probes", sm.Probes, st.Probes},
 		{"sample sheds", sm.Sheds(), st.Rejected},
-		{"sample steals", sm.Steals, st.Steals},
-		{"sample steal fails", sm.StealFails, st.StealFails},
 		{"sample tt probes", sm.TTProbes, st.TTProbes},
 		{"sample tt hits", sm.TTHits, st.TTHits},
 		{"sample tt fill", sm.TTFill, int64(st.TableFill)},
@@ -261,8 +259,6 @@ func TestStatsConcurrentSessions(t *testing.T) {
 		{"core_tasks_total spec_pop", registryCount(reg, "core_tasks_total", "kind", "spec_pop"), st.SpecPops},
 		{"core_tasks_total dropped", registryCount(reg, "core_tasks_total", "kind", "dropped"), st.Dropped},
 		{"core_tasks_total cutoff_drop", registryCount(reg, "core_tasks_total", "kind", "cutoff_drop"), st.CutoffDrops},
-		{"core_tasks_total steal", registryCount(reg, "core_tasks_total", "kind", "steal"), st.Steals},
-		{"core_tasks_total steal_fail", registryCount(reg, "core_tasks_total", "kind", "steal_fail"), st.StealFails},
 		{"core_tt_ops_total probe", registryCount(reg, "core_tt_ops_total", "op", "probe"), st.TTProbes},
 		{"core_tt_ops_total hit", registryCount(reg, "core_tt_ops_total", "op", "hit"), st.TTHits},
 		{"core_tt_ops_total store", registryCount(reg, "core_tt_ops_total", "op", "store"), st.TTStores},

@@ -111,7 +111,6 @@ type Report struct {
 	Aborts         int64 `json:"aborts"`
 	Discards       int64 `json:"discards"`
 	TTCutoffs      int64 `json:"tt_cutoffs"`
-	Steals         int64 `json:"steals"`
 	HeapPeak       int   `json:"heap_peak"`
 
 	Minimal *MinimalReport `json:"minimal,omitempty"`
@@ -187,8 +186,6 @@ func Build(tels []core.WorkerTelemetry, opts Options) *Report {
 			r.Aborts++
 		case core.EvTTCutoff:
 			r.TTCutoffs++
-		case core.EvSteal:
-			r.Steals++
 		}
 	}
 

@@ -46,7 +46,6 @@ func TestBusyPartitionProperty(t *testing.T) {
 		tree := spec.Generate(rng)
 		opt := core.DefaultOptions()
 		opt.Workers = 1 + i%4
-		opt.Sharded = i%2 == 1
 		opt.SerialDepth = i % 3
 		tels := searchWithRecorder(t, tree, tree.Height(), opt, 1<<20)
 		rep := flight.Build(tels, flight.Options{Workers: opt.Workers})

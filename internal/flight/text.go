@@ -41,7 +41,7 @@ func (r *Report) WriteText(w io.Writer) {
 		r.WastedSpec.Time.Round(time.Microsecond), pct(r.WastedSpec))
 	fmt.Fprintf(w, "  schedule: spawns %d   promotions %d (%d speculative)   refutations %d   aborts %d   discards %d\n",
 		r.Spawns, r.Promotions, r.SpecPromotions, r.Refutations, r.Aborts, r.Discards)
-	fmt.Fprintf(w, "  tt cutoffs %d   steals %d   heap peak %d\n", r.TTCutoffs, r.Steals, r.HeapPeak)
+	fmt.Fprintf(w, "  tt cutoffs %d   heap peak %d\n", r.TTCutoffs, r.HeapPeak)
 
 	if len(r.Plies) > 0 {
 		fmt.Fprintln(w, "  per ply (tasks: primary / spec-useful / spec-wasted):")

@@ -54,8 +54,13 @@ const warmDelta = 24
 // comparisons the caller should look at elapsed time, not node counts,
 // because Lazy-SMP deliberately duplicates work to fill the table.
 func (b *Backend) Search(req backend.Request) (backend.Response, error) {
-	// The root's degree sizes the workers' rotated orders.
-	n := len(req.Pos.Children())
+	// The root's degree sizes the workers' rotated orders. A RootOrder is a
+	// permutation of the root's children, so only a request without one
+	// generates them to count them.
+	n := len(req.RootOrder)
+	if req.RootOrder == nil {
+		n = len(req.Pos.Children())
+	}
 	if req.Depth < 1 || n == 0 {
 		return backend.LeafResponse(req), nil
 	}

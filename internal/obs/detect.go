@@ -41,11 +41,10 @@ type cooldownExempt interface{ cooldownExempt() }
 // Anomaly kind strings, shared by the detectors, the obs_anomaly_total{kind}
 // metric, and the load harness's per-phase assertions.
 const (
-	KindShedSpike       = "shed-spike"
-	KindProbeStorm      = "probe-storm"
-	KindTTThrash        = "tt-thrash"
-	KindStealStarvation = "steal-starvation"
-	KindStall           = "stall"
+	KindShedSpike  = "shed-spike"
+	KindProbeStorm = "probe-storm"
+	KindTTThrash   = "tt-thrash"
+	KindStall      = "stall"
 )
 
 // DefaultDetectors returns the standard detector set with default thresholds.
@@ -54,7 +53,6 @@ func DefaultDetectors() []Detector {
 		&ShedSpike{MinSheds: 5, MinRate: 1},
 		&ProbeStorm{MaxPerIteration: 24, MinIterations: 4},
 		&TTThrash{MinSessions: 4, MinHitDrop: 0.10, MinProbes: 256},
-		&StealStarvation{MinAttempts: 128, MinFailRatio: 0.9},
 		&Stall{},
 	}
 }
@@ -163,39 +161,6 @@ func (d *TTThrash) Check(v *View) []Anomaly {
 		Kind: KindTTThrash,
 		Detail: fmt.Sprintf("tt hit rate fell %.2f→%.2f across %d aging ticks in %.1fs (fill %d/%d)",
 			oldRate, newRate, gens, v.Span.Seconds(), v.Newest.TTFill, v.Newest.TTLen),
-	}}
-}
-
-// StealStarvation fires when the sharded heap's steal sweeps almost always
-// come up empty: at least MinAttempts sweeps in the window with MinFailRatio
-// of them failing. That is the paper's idle-worker overhead showing up live —
-// workers burning cycles scanning shards that hold no work, usually a grain
-// (SerialDepth) or fan-out problem.
-type StealStarvation struct {
-	MinAttempts  int64   // steal sweeps (hits + failures) in the window
-	MinFailRatio float64 // failed fraction that counts as starvation
-}
-
-func (d *StealStarvation) Name() string { return KindStealStarvation }
-
-func (d *StealStarvation) Check(v *View) []Anomaly {
-	if v.Samples < 2 {
-		return nil
-	}
-	steals := v.Newest.Steals - v.Oldest.Steals
-	fails := v.Newest.StealFails - v.Oldest.StealFails
-	attempts := steals + fails
-	if attempts < d.MinAttempts {
-		return nil
-	}
-	ratio := float64(fails) / float64(attempts)
-	if ratio < d.MinFailRatio {
-		return nil
-	}
-	return []Anomaly{{
-		Kind: KindStealStarvation,
-		Detail: fmt.Sprintf("%.0f%% of %d steal sweeps found every shard empty over %.1fs",
-			ratio*100, attempts, v.Span.Seconds()),
 	}}
 }
 

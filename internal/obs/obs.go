@@ -2,10 +2,10 @@
 // bounded ring of timestamped gauge snapshots sampled from the running
 // engine/serve stack, pluggable anomaly detectors that watch the ring for the
 // serving pathologies the literature warns about (MTD(f) probe storms,
-// admission shed spikes, transposition-table thrash, steal starvation, stalled
-// sessions), and automatic capture of pprof profiles at the moment an anomaly
-// fires — so a pathology is diagnosed from evidence taken while it happened,
-// not reconstructed post-mortem.
+// admission shed spikes, transposition-table thrash, stalled sessions), and
+// automatic capture of pprof profiles at the moment an anomaly fires — so a
+// pathology is diagnosed from evidence taken while it happened, not
+// reconstructed post-mortem.
 //
 // The whole subsystem follows the repository's pay-for-use telemetry
 // discipline: a nil *Monitor is the disabled state, every exported method is
@@ -48,8 +48,6 @@ type Sample struct {
 	ShedFull      int64 `json:"shed_full"`      // immediate admission refusals
 	ShedTimeout   int64 `json:"shed_timeout"`   // queue waits that expired
 	ShedCancelled int64 `json:"shed_cancelled"` // callers that gave up queued
-	Steals        int64 `json:"steals"`         // sharded-heap steals
-	StealFails    int64 `json:"steal_fails"`    // steal sweeps finding nothing
 	TTProbes      int64 `json:"tt_probes"`      // shared-table probes
 	TTHits        int64 `json:"tt_hits"`        // shared-table hits
 	TTGenerations int64 `json:"tt_generations"` // table aging ticks

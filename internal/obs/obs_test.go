@@ -211,17 +211,6 @@ func TestTTThrashFiresAcrossGenerationWrap(t *testing.T) {
 	}
 }
 
-func TestStealStarvationFires(t *testing.T) {
-	m := newTestMonitor(t, Config{})
-	base := time.Now()
-	tick(m, base, Sample{})
-	tick(m, base.Add(time.Second), Sample{Steals: 10, StealFails: 990})
-	r := m.Report()
-	if r.Totals[KindStealStarvation] != 1 {
-		t.Fatalf("totals = %v, want one %s", r.Totals, KindStealStarvation)
-	}
-}
-
 func TestStallWatchdogFiresOncePerSession(t *testing.T) {
 	m := newTestMonitor(t, Config{StallFactor: 3})
 	id := m.SessionStart("req-stall", 100*time.Millisecond)

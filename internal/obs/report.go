@@ -92,10 +92,10 @@ func (m *Monitor) WriteText(w io.Writer) {
 		}
 		o := r.Samples[0]
 		span := s.At.Sub(o.At)
-		fmt.Fprintf(w, "ring(%s): sessions +%d iterations +%d probes +%d sheds +%d steals +%d/+%d failed\n",
+		fmt.Fprintf(w, "ring(%s): sessions +%d iterations +%d probes +%d sheds +%d\n",
 			span.Round(time.Millisecond),
 			s.Sessions-o.Sessions, s.Iterations-o.Iterations, s.Probes-o.Probes,
-			s.Sheds()-o.Sheds(), s.Steals-o.Steals, s.StealFails-o.StealFails)
+			s.Sheds()-o.Sheds())
 	}
 	fmt.Fprintln(w, "detectors:")
 	for _, d := range r.Detectors {

@@ -126,8 +126,8 @@ func TestDebugObsRingSamples(t *testing.T) {
 		var rep obsReportWire
 		getJSON(t, client, ts.URL+"/debug/obs", http.StatusOK, &rep)
 		if rep.Enabled && len(rep.Samples) > 0 && rep.Samples[len(rep.Samples)-1].Sessions >= 1 {
-			if len(rep.Detectors) != 5 {
-				t.Fatalf("detector states = %+v, want the 5 defaults", rep.Detectors)
+			if len(rep.Detectors) != 4 {
+				t.Fatalf("detector states = %+v, want the 4 defaults", rep.Detectors)
 			}
 			return
 		}

@@ -56,7 +56,6 @@ type Config struct {
 	Backend       string        // default search backend; empty means the engine default
 	Driver        string        // default root driver; empty means the engine default
 	SerialDepth   int           // serial work grain
-	Sharded       bool          // per-worker work-stealing problem heap
 	TableBits     int           // per-game shared transposition table size
 	TableImpl     string        // shared-table implementation: empty or "lockfree", the only one
 	CacheSize     int           // completed answers retained by the single-flight cache; 0 disables
@@ -137,7 +136,6 @@ func New(cfg Config) *Server {
 			Driver:       cfg.Driver,
 			Workers:      cfg.Workers,
 			SerialDepth:  cfg.SerialDepth,
-			Sharded:      cfg.Sharded,
 			Order:        spec.order,
 			TableBits:    cfg.TableBits,
 			TableImpl:    cfg.TableImpl,
@@ -253,7 +251,6 @@ type iterationJSON struct {
 	Researches int   `json:"researches"`
 	Probes     int   `json:"probes"`
 	Nodes      int64 `json:"nodes"`
-	Steals     int64 `json:"steals"`
 	// HeapPeak is the largest problem-heap occupancy sampled during the
 	// iteration; zero unless the session recorded (stream=1 or flight=1).
 	HeapPeak  int   `json:"heap_peak"`
@@ -269,7 +266,6 @@ func wireIteration(it engine.Iteration) iterationJSON {
 		Researches: it.Researches,
 		Probes:     it.Probes,
 		Nodes:      it.Nodes,
-		Steals:     it.Steals,
 		HeapPeak:   it.HeapPeak,
 		ElapsedMS:  it.Elapsed.Milliseconds(),
 	}

@@ -233,7 +233,7 @@ func TestStatsAndHealthzKeys(t *testing.T) {
 	want := "Active Backend BackendSessions Capacity Completed CutoffDrops DeadlineCut " +
 		"Driver DriverSessions Dropped Failed HasTable HeapOps Iterations LeafTasks Nodes " +
 		"Probes Rejected Researches SerialTasks ShedCancelled ShedFull ShedTimeout SpecPops " +
-		"Started StealFails Steals TTCutoffs TTHits TTProbes TTStores TableFill " +
+		"Started TTCutoffs TTHits TTProbes TTStores TableFill " +
 		"TableGeneration TableHitRate TableImpl TableLen Waiting"
 	if got := keys(st.Games["ttt"]); got != want {
 		t.Errorf("/stats games.ttt keys:\n got %s\nwant %s", got, want)

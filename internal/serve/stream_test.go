@@ -199,40 +199,6 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	getJSON(t, client, ts.URL+"/debug/flight?id=nope", http.StatusNotFound, nil)
 }
 
-// TestStatsExposeSteals: after a sharded multi-worker session /stats carries
-// the per-game steal counters; the end-of-search drain guarantees at least
-// the steal-fail sweeps fired.
-func TestStatsExposeSteals(t *testing.T) {
-	ts := testServer(t, Config{Workers: 4, SerialDepth: 2, Sharded: true, TableBits: 14, MaxConcurrent: 2})
-	client := &http.Client{Timeout: 30 * time.Second}
-
-	var an analysisJSON
-	getJSON(t, client, ts.URL+"/bestmove?game=connect4&depth=6&budget_ms=20000", http.StatusOK, &an)
-
-	// Decode into a raw map too: the counters must be present as JSON
-	// fields, not merely zero values of a stale struct.
-	resp, err := client.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var raw struct {
-		Games map[string]map[string]any `json:"games"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	g := raw.Games["connect4"]
-	steals, ok1 := g["Steals"].(float64)
-	fails, ok2 := g["StealFails"].(float64)
-	if !ok1 || !ok2 {
-		t.Fatalf("/stats misses steal counters: %v", g)
-	}
-	if steals+fails == 0 {
-		t.Fatal("sharded 4-worker session recorded no steal activity at all")
-	}
-}
-
 // TestSSEChurnFreesAdmissionSlots is the cancellation-churn regression: waves
 // of SSE clients that hang up mid-search must cancel their sessions and
 // return their admission slots, so the pool never leaks capacity under
